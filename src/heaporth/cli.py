@@ -48,24 +48,65 @@ def _default_format() -> str:
     return env if env in _FORMATS else "plain"
 
 
-def _parse_spec(token: str) -> CoeffSpec:
-    if token == "fib":
-        return CoeffSpec.fibonacci()
-    if token == "catalan":
-        return CoeffSpec.catalan()
-    if token == "symbolic":
-        return CoeffSpec.symbolic()
-    if token.startswith("custom:"):
-        path = token[len("custom:"):]
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-        return CoeffSpec.custom(
-            [Fraction(str(v)) for v in data.get("c", [])],
-            [Fraction(str(v)) for v in data.get("lambda", [])],
-        )
+_NAMED_SPECS = {
+    "fib": CoeffSpec.fibonacci,
+    "catalan": CoeffSpec.catalan,
+    "symbolic": CoeffSpec.symbolic,
+}
+
+
+class SpecFileError(ValueError):
+    """A custom spec file cannot be read or does not describe a spec."""
+
+
+def _spec_token(token: str) -> str:
+    """Check the form of a --spec value; custom files are read later, in main."""
+    if token in _NAMED_SPECS or token.startswith("custom:"):
+        return token
     raise argparse.ArgumentTypeError(
         f"unknown spec {token!r} (expected fib|catalan|symbolic|custom:<file>)"
     )
+
+
+def _parse_spec(token: str) -> CoeffSpec:
+    if token in _NAMED_SPECS:
+        return _NAMED_SPECS[token]()
+    return _load_custom_spec(token[len("custom:"):])
+
+
+def _load_custom_spec(path: str) -> CoeffSpec:
+    """Read {"c": [...], "lambda": [...]} of rationals (numbers or "p/q" strings)."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise SpecFileError(f"cannot read spec file {path!r}: {exc.strerror}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise SpecFileError(f"spec file {path!r} is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise SpecFileError(
+            f"spec file {path!r} must hold a JSON object with keys 'c' and 'lambda'"
+        )
+    unknown = sorted(set(data) - {"c", "lambda"})
+    if unknown:
+        raise SpecFileError(
+            f"spec file {path!r} has unknown key(s) {', '.join(map(repr, unknown))}"
+            " (expected 'c' and 'lambda')"
+        )
+    lists: dict[str, list[Fraction]] = {}
+    for key in ("c", "lambda"):
+        values = data.get(key, [])
+        if not isinstance(values, list):
+            raise SpecFileError(f"spec file {path!r}: {key!r} must be a list")
+        lists[key] = []
+        for i, value in enumerate(values):
+            try:
+                lists[key].append(Fraction(str(value)))
+            except (ValueError, ZeroDivisionError) as exc:
+                raise SpecFileError(
+                    f"spec file {path!r}: {key}[{i}] = {value!r} is not a rational number"
+                ) from exc
+    return CoeffSpec.custom(lists["c"], lists["lambda"])
 
 
 def _encode_scalar(p: MultiPoly):
@@ -337,8 +378,8 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_common(p, spec_default="symbolic"):
         p.add_argument(
             "--spec",
-            type=_parse_spec,
-            default=_parse_spec(spec_default),
+            type=_spec_token,
+            default=spec_default,
             help="coefficient spec: fib|catalan|symbolic|custom:<file>",
         )
         p.add_argument(
@@ -421,6 +462,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if hasattr(args, "spec"):
+            args.spec = _parse_spec(args.spec)
         if args.command == "verify":
             out, code = _cmd_verify(args)
             print(out)

@@ -2,27 +2,69 @@
 
 The variable universe is fixed once and for all: ``x`` (the main recursion
 variable), ``t`` (an auxiliary generating-function variable), and the two
-infinite indexed families ``c0, c1, c2, ...`` and ``l1, l2, l3, ...``.
-Variables are totally ordered
+indexed families ``c0 .. c31`` and ``l1 .. l32``.  Variables are totally
+ordered
 
-    x < t < c0 < c1 < ... < l1 < l2 < ...
+    x < t < c0 < c1 < ... < c31 < l1 < l2 < ... < l32
 
 and monomials are compared graded-lexicographically against that order
 (total degree first, then the earliest variable with the larger exponent
 wins).  That single order fixes term printing, JSON layout and leading-term
 selection, so equal polynomials always render identically.
 
-Coefficients are ``fractions.Fraction`` throughout; nothing in this module
-ever rounds.  A monomial is stored as a tuple of ``(Indeterminate, exponent)``
-pairs sorted by the variable order, with no zero exponents; the polynomial
-itself is a map from monomials to nonzero coefficients.  All values are
-immutable after construction and safe to share between threads.
+Coefficients are ``fractions.Fraction`` or ``int`` throughout; nothing in
+this module ever rounds.  A polynomial is a map from monomials to nonzero
+coefficients.  All values are immutable after construction and safe to
+share between threads.
+
+Packed monomials
+----------------
+A monomial is one Python ``int``.  Every variable owns a fixed-width bit
+field holding its exponent, and the top bit of each field is a guard bit
+that a valid monomial keeps clear.  From the most significant end::
+
+    | total degree | x:16 | t:16 | c0:8 | ... | c31:8 | l1:8 | ... | l32:8 |
+                   ^ bit 544                                         bit 0 ^
+
+The total-degree field is unbounded.  The caps are therefore:
+
+- ``x`` and ``t`` take exponents up to 32767 (basis polynomials and series
+  in ``x`` run to high degree with numeric coefficients);
+- each ``c_i`` and ``l_i`` takes exponents up to 127, and the families stop
+  at ``c31`` and ``l32``.  The moment ``mu_n`` only reaches ``c_{n/2}`` and
+  ``l_{n/2}``, and symbolic work stops being computable long before
+  ``n = 64``.  Wider layouts would lengthen every monomial int, and so the
+  memory of every term.
+
+A variable past the caps, or an exponent above its field's cap, raises
+``MonomialOverflowError``; nothing ever wraps.
+
+Why int order is the graded-lex order: the degree field is the most
+significant, so a larger total degree is a larger int.  At equal degree the
+fields decide in variable order, ``x`` first, because a valid monomial's
+fields never carry into one another.  The operations follow:
+
+- product: ``a + b``.  Each field sum is at most twice the field's cap, so
+  it stays inside its field and sets the guard bit exactly when the cap is
+  exceeded.  A product of total degree at most 127 cannot exceed any cap,
+  so only higher-degree products scan their result for guard bits.
+- divisibility: with ``d = a - b``, ``b`` divides ``a`` exactly when
+  ``d >= 0`` and ``d`` has no guard bit set.  A field whose exponent in
+  ``b`` exceeds the one in ``a`` borrows from the field above and leaves its
+  own guard bit set.
+- total degree: ``m >> 544``; leading monomial: ``max``; canonical order:
+  ``sorted(..., reverse=True)``.
+
+``Indeterminate`` objects appear only at the boundary: building from named
+powers, looking up a coefficient, JSON, rendering and substitution.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import compress
+from operator import or_
 from typing import Iterable, Iterator, Mapping, Union
 
 BigRational = Fraction
@@ -54,12 +96,16 @@ class DegreeError(ValueError):
     """Raised when a polynomial exceeds the degree bound of an operation."""
 
 
+class MonomialOverflowError(OverflowError):
+    """A variable index or an exponent lies outside the packed monomial layout."""
+
+
 class Indeterminate:
     """A variable of kind ``x``, ``t``, ``c`` or ``l`` plus an index.
 
     ``x`` and ``t`` carry no index; ``c`` indices start at 0 and ``l``
-    indices at 1.  Instances are immutable; the sort key and hash are
-    precomputed because monomial arithmetic leans on them heavily.
+    indices at 1.  Instances are immutable and may name indices past the
+    packed layout; only turning one into a monomial checks the caps.
     """
 
     __slots__ = ("kind", "index", "_key", "_hash")
@@ -132,73 +178,98 @@ def lam_var(i: int) -> Indeterminate:
     return Indeterminate("l", i)
 
 
-# A monomial: ((var, exp), ...) sorted by var order, exponents > 0.
-Mono = tuple[tuple[Indeterminate, int], ...]
+# -- the packed layout ---------------------------------------------------------
 
-_EMPTY_MONO: Mono = ()
+INDEXED_SLOTS = 32  # c0..c31 and l1..l32
+_WIDE_BITS = 16  # x and t
+_NARROW_BITS = 8  # every c_i and l_i
 
+# Fields in variable order: index 0 (x) is the most significant.
+_FIELD_VARS: tuple[Indeterminate, ...] = (
+    (X, T)
+    + tuple(c_var(i) for i in range(INDEXED_SLOTS))
+    + tuple(lam_var(i) for i in range(1, INDEXED_SLOTS + 1))
+)
+_NARROW_FIELDS = 2 * INDEXED_SLOTS
+_NARROW_SPAN = _NARROW_BITS * _NARROW_FIELDS  # the c and l fields: bits 0..511
+_DEG_SHIFT = _NARROW_SPAN + 2 * _WIDE_BITS
+_FIELD_SHIFT = (_DEG_SHIFT - _WIDE_BITS, _NARROW_SPAN) + tuple(
+    _NARROW_SPAN - _NARROW_BITS * (k + 1) for k in range(_NARROW_FIELDS)
+)
+_FIELD_MAX = (2 ** (_WIDE_BITS - 1) - 1,) * 2 + (2 ** (_NARROW_BITS - 1) - 1,) * _NARROW_FIELDS
+_FIELD_MASK = tuple(cap << sh for cap, sh in zip(_FIELD_MAX, _FIELD_SHIFT))
+_FIELD_OF = {v: f for f, v in enumerate(_FIELD_VARS)}
+_FIELD_GUARD = tuple((cap + 1) << sh for cap, sh in zip(_FIELD_MAX, _FIELD_SHIFT))
+_GUARDS = sum(_FIELD_GUARD)
+_SAFE_DEGREE = 2 ** (_NARROW_BITS - 1) - 1  # no product this small can overflow
+_NARROW_MASK = (1 << _NARROW_SPAN) - 1
+_NARROW_POS = range(_NARROW_FIELDS)
+_WIDE_MASK = (1 << _WIDE_BITS) - 1
+_LAST_SLOTS = _FIELD_MASK[1 + INDEXED_SLOTS] | _FIELD_MASK[-1]  # c31 and l32
 
-def _mono_mul(a: Mono, b: Mono) -> Mono:
-    if not a:
-        return b
-    if not b:
-        return a
-    out: list[tuple[Indeterminate, int]] = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        va, ea = a[i]
-        vb, eb = b[j]
-        ka, kb = va._key, vb._key
-        if ka == kb:
-            out.append((va, ea + eb))
-            i += 1
-            j += 1
-        elif ka < kb:
-            out.append(a[i])
-            i += 1
-        else:
-            out.append(b[j])
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return tuple(out)
+_NAMES = tuple(str(v) for v in _FIELD_VARS)
+_LATEX_NAMES = tuple(v.to_latex() for v in _FIELD_VARS)
 
+# A monomial: a packed int as laid out above; 0 is the empty monomial.
+Mono = int
 
-def _mono_div(a: Mono, b: Mono) -> Mono | None:
-    """a / b, or None when b does not divide a."""
-    rem = dict(a)
-    for v, e in b:
-        have = rem.get(v, 0)
-        if have < e:
-            return None
-        if have == e:
-            del rem[v]
-        else:
-            rem[v] = have - e
-    return tuple(sorted(rem.items(), key=lambda p: p[0]._key))
+_EMPTY_MONO: Mono = 0
 
 
-def _mono_deg(m: Mono) -> int:
-    return sum(e for _, e in m)
+def _field(ind: Indeterminate) -> int:
+    f = _FIELD_OF.get(ind)
+    if f is None:
+        raise MonomialOverflowError(
+            f"variable {ind} is outside the packed layout "
+            f"(c0..c{INDEXED_SLOTS - 1}, l1..l{INDEXED_SLOTS})"
+        )
+    return f
 
 
-def _mono_cmp(a: Mono, b: Mono) -> int:
-    """Graded lexicographic comparison; positive when a > b."""
-    da, db = _mono_deg(a), _mono_deg(b)
-    if da != db:
-        return 1 if da > db else -1
-    i = j = 0
-    while i < len(a) or j < len(b):
-        if j >= len(b) or (i < len(a) and a[i][0]._key < b[j][0]._key):
-            return 1  # a owns the earliest differing variable
-        if i >= len(a) or b[j][0]._key < a[i][0]._key:
-            return -1
-        ea, eb = a[i][1], b[j][1]
-        if ea != eb:
-            return 1 if ea > eb else -1
-        i += 1
-        j += 1
-    return 0
+def _pack(powers: Iterable[tuple[Indeterminate, int]]) -> Mono:
+    """Pack (variable, exponent) pairs; repeated variables add up."""
+    exps: dict[int, int] = {}
+    for v, e in powers:
+        if e < 0:
+            raise ValueError("negative exponent")
+        if e:
+            f = _field(v)
+            exps[f] = exps.get(f, 0) + e
+    m = deg = 0
+    for f, e in exps.items():
+        if e > _FIELD_MAX[f]:
+            raise MonomialOverflowError(
+                f"exponent {e} of {_NAMES[f]} exceeds the cap {_FIELD_MAX[f]}"
+            )
+        m += e << _FIELD_SHIFT[f]
+        deg += e
+    return m + (deg << _DEG_SHIFT)
+
+
+def _unpack(m: Mono) -> list[tuple[int, int]]:
+    """(field, exponent) of every variable present, in variable order."""
+    out = []
+    wide = m >> _NARROW_SPAN
+    x_exp, t_exp = wide >> _WIDE_BITS & _WIDE_MASK, wide & _WIDE_MASK
+    if x_exp:
+        out.append((0, x_exp))
+    if t_exp:
+        out.append((1, t_exp))
+    narrow = (m & _NARROW_MASK).to_bytes(_NARROW_FIELDS, "big")  # a byte per field
+    out += [(k + 2, narrow[k]) for k in compress(_NARROW_POS, narrow)]
+    return out
+
+
+def _check_product(out: Mapping[Mono, Rat], a: Mono, b: Mono) -> None:
+    """Raise if a product of factors whose largest monomials are a and b left a field."""
+    if (a >> _DEG_SHIFT) + (b >> _DEG_SHIFT) <= _SAFE_DEGREE:
+        return
+    for m in out:
+        if m & _GUARDS:
+            f = next(f for f, g in enumerate(_FIELD_GUARD) if m & g)
+            raise MonomialOverflowError(
+                f"exponent of {_NAMES[f]} exceeds the cap {_FIELD_MAX[f]}"
+            )
 
 
 class MultiPoly:
@@ -261,15 +332,7 @@ class MultiPoly:
         """Build from (coefficient, {variable: exponent}) pairs."""
         acc: dict[Mono, Rat] = {}
         for coeff, powers in terms:
-            mono = tuple(
-                sorted(
-                    ((v, e) for v, e in powers.items() if e != 0),
-                    key=lambda p: p[0].sort_key,
-                )
-            )
-            for v, e in mono:
-                if e < 0:
-                    raise ValueError("negative exponent")
+            mono = _pack(powers.items())
             acc[mono] = acc.get(mono, 0) + Fraction(coeff)
         return cls(acc)
 
@@ -294,44 +357,33 @@ class MultiPoly:
         """Total degree; -1 for the zero polynomial."""
         if self.is_zero:
             return -1
-        return max(_mono_deg(m) for m in self._terms)
+        return max(self._terms) >> _DEG_SHIFT
 
     def contains(self, ind: Indeterminate) -> bool:
-        return any(v == ind for m in self._terms for v, _ in m)
+        f = _FIELD_OF.get(ind)
+        if f is None:
+            return False
+        mask = _FIELD_MASK[f]
+        return any(m & mask for m in self._terms)
 
     def variables(self) -> list[Indeterminate]:
-        seen = {v for m in self._terms for v, _ in m}
-        return sorted(seen, key=lambda v: v.sort_key)
+        present = reduce(or_, self._terms, 0)
+        return [_FIELD_VARS[f] for f, _ in _unpack(present)]
 
     def items(self) -> Iterator[tuple[Mono, Rat]]:
         return iter(self._terms.items())
 
     def coefficient(self, powers: Mapping[Indeterminate, int]) -> Fraction:
-        mono = tuple(
-            sorted(
-                ((v, e) for v, e in powers.items() if e != 0),
-                key=lambda p: p[0].sort_key,
-            )
-        )
-        return Fraction(self._terms.get(mono, 0))
+        return Fraction(self._terms.get(_pack(powers.items()), 0))
 
     def _leading(self) -> tuple[Mono, Rat]:
-        best: Mono | None = None
-        for m in self._terms:
-            if best is None or _mono_cmp(m, best) > 0:
-                best = m
-        assert best is not None
+        best = max(self._terms)
         return best, self._terms[best]
 
     def _sorted_terms(self) -> list[tuple[Mono, Rat]]:
         """Terms in descending canonical order."""
-        monos = list(self._terms)
-        # insertion sort via pairwise comparison keeps this dependency-free;
-        # term counts here are small enough that O(n^2) is irrelevant
-        import functools
-
-        monos.sort(key=functools.cmp_to_key(_mono_cmp), reverse=True)
-        return [(m, self._terms[m]) for m in monos]
+        terms = self._terms
+        return [(m, terms[m]) for m in sorted(terms, reverse=True)]
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -409,15 +461,26 @@ class MultiPoly:
         o = MultiPoly._coerce(other)
         if o is None:
             return NotImplemented
-        out: dict[Mono, Rat] = {}
-        for ma, qa in self._terms.items():
-            for mb, qb in o._terms.items():
-                m = _mono_mul(ma, mb)
-                s = out.get(m, 0) + qa * qb
-                if s:
-                    out[m] = s
-                elif m in out:
-                    del out[m]
+        a, b = self._terms, o._terms
+        if not a or not b:
+            return _ZERO
+        if len(a) < len(b):
+            a, b = b, a
+        if len(b) == 1:
+            # one term: the products are distinct and nonzero, nothing merges
+            ((mb, qb),) = b.items()
+            out = {m + mb: q * qb for m, q in a.items()}
+        else:
+            out = {}
+            for ma, qa in a.items():
+                for mb, qb in b.items():
+                    m = ma + mb
+                    s = out.get(m, 0) + qa * qb
+                    if s:
+                        out[m] = s
+                    elif m in out:
+                        del out[m]
+        _check_product(out, max(a), max(b))
         return MultiPoly._raw(out)
 
     __rmul__ = __mul__
@@ -431,12 +494,17 @@ class MultiPoly:
         while e:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            if e:  # a square past the last bit could pass the exponent caps
+                base = base * base
         return result
 
     def exact_div(self, divisor: "MultiPoly | Rat") -> "MultiPoly":
-        """Exact quotient self/divisor; raises InexactDivisionError otherwise."""
+        """Exact quotient self/divisor; raises InexactDivisionError otherwise.
+
+        A one-term divisor divides term by term; a longer one runs long
+        division.
+        """
         d = MultiPoly._coerce(divisor)
         if d is None:
             raise TypeError("divisor must be a polynomial or rational")
@@ -449,13 +517,21 @@ class MultiPoly:
             if dv == -1:
                 return -self
             return self * (1 / dv)
-        quot: dict[Mono, Rat] = {}
-        rem = self
         lead_m, lead_q = d._leading()
+        if len(d._terms) == 1:
+            quot: dict[Mono, Rat] = {}
+            for m, q in self._terms.items():
+                tm = m - lead_m
+                if tm < 0 or tm & _GUARDS:
+                    raise InexactDivisionError(f"{d} does not divide {self}")
+                quot[tm] = Fraction(q) / lead_q
+            return MultiPoly(quot)
+        quot = {}
+        rem = self
         while not rem.is_zero:
             rm, rq = rem._leading()
-            tm = _mono_div(rm, lead_m)
-            if tm is None:
+            tm = rm - lead_m
+            if tm < 0 or tm & _GUARDS:
                 raise InexactDivisionError(f"{d} does not divide {self}")
             tq = Fraction(rq) / lead_q
             quot[tm] = quot.get(tm, 0) + tq
@@ -477,7 +553,8 @@ class MultiPoly:
 
         def term_image(mono: Mono, coeff: Fraction) -> MultiPoly:
             term = MultiPoly.const(coeff)
-            for ind, exp in mono:
+            for f, exp in _unpack(mono):
+                ind = _FIELD_VARS[f]
                 base = repl.get(ind)
                 if base is None:
                     base = MultiPoly.variable(ind)
@@ -489,16 +566,19 @@ class MultiPoly:
         )
 
     def shift_indexed(self) -> "MultiPoly":
-        """Bump every c_i to c_{i+1} and every l_i to l_{i+1}; x, t untouched."""
+        """Bump every c_i to c_{i+1} and every l_i to l_{i+1}; x, t untouched.
+
+        The c and l fields move one field down as a block; c31 and l32 have
+        nowhere to go.
+        """
         out: dict[Mono, Rat] = {}
         for mono, coeff in self._terms.items():
-            new = tuple(
-                (c_var(v.index + 1) if v.kind == "c"
-                 else lam_var(v.index + 1) if v.kind == "l"
-                 else v, e)
-                for v, e in mono
-            )
-            out[new] = coeff
+            if mono & _LAST_SLOTS:
+                raise MonomialOverflowError(
+                    f"shifting {self} leaves the packed layout "
+                    f"(c0..c{INDEXED_SLOTS - 1}, l1..l{INDEXED_SLOTS})"
+                )
+            out[mono & ~_NARROW_MASK | (mono & _NARROW_MASK) >> _NARROW_BITS] = coeff
         return MultiPoly(out)
 
     # -- comparison / rendering ----------------------------------------------
@@ -551,7 +631,7 @@ class MultiPoly:
     def to_json_dict(self) -> dict:
         terms = []
         for mono, coeff in self._sorted_terms():
-            powers = {str(v): e for v, e in mono}
+            powers = {_NAMES[f]: e for f, e in _unpack(mono)}
             terms.append(
                 {"coeff": f"{coeff.numerator}/{coeff.denominator}", "powers": powers}
             )
@@ -562,12 +642,9 @@ class MultiPoly:
         acc: dict[Mono, Rat] = {}
         for entry in data["terms"]:
             coeff = Fraction(entry["coeff"])
-            mono = tuple(
-                sorted(
-                    ((Indeterminate.parse(name), int(e))
-                     for name, e in entry["powers"].items()),
-                    key=lambda p: p[0].sort_key,
-                )
+            mono = _pack(
+                (Indeterminate.parse(name), int(e))
+                for name, e in entry["powers"].items()
             )
             acc[mono] = acc.get(mono, 0) + coeff
         return cls(acc)
@@ -579,12 +656,12 @@ _ONE = MultiPoly({_EMPTY_MONO: 1})
 
 @lru_cache(maxsize=None)
 def _variable_poly(ind: Indeterminate) -> MultiPoly:
-    return MultiPoly({((ind, 1),): 1})
+    return MultiPoly({_pack(((ind, 1),)): 1})
 
 
 def _render_term(mag: Rat, mono: Mono, star: str, power: str) -> str:
     vars_part = star.join(
-        str(v) if e == 1 else f"{v}{power}{e}" for v, e in mono
+        _NAMES[f] if e == 1 else f"{_NAMES[f]}{power}{e}" for f, e in _unpack(mono)
     )
     if not vars_part:
         return str(mag)
@@ -595,7 +672,8 @@ def _render_term(mag: Rat, mono: Mono, star: str, power: str) -> str:
 
 def _render_term_latex(mag: Rat, mono: Mono) -> str:
     vars_part = " ".join(
-        v.to_latex() if e == 1 else f"{v.to_latex()}^{{{e}}}" for v, e in mono
+        _LATEX_NAMES[f] if e == 1 else f"{_LATEX_NAMES[f]}^{{{e}}}"
+        for f, e in _unpack(mono)
     )
     if mag.denominator == 1:
         mag_part = str(mag.numerator)
@@ -658,16 +736,15 @@ class UniPoly:
     @classmethod
     def from_multipoly(cls, p: MultiPoly, var: Indeterminate = X) -> "UniPoly":
         """Collect a MultiPoly by powers of var."""
+        f = _FIELD_OF.get(var)
+        if f is None:  # no polynomial mentions a variable outside the layout
+            return cls((p,), var)
+        shift, cap = _FIELD_SHIFT[f], _FIELD_MASK[f]
         buckets: dict[int, dict[Mono, Rat]] = {}
         for mono, coeff in p.items():
-            k = 0
-            rest = []
-            for v, e in mono:
-                if v == var:
-                    k = e
-                else:
-                    rest.append((v, e))
-            buckets.setdefault(k, {})[tuple(rest)] = coeff
+            k = (mono & cap) >> shift
+            rest = mono - (k << shift) - (k << _DEG_SHIFT)
+            buckets.setdefault(k, {})[rest] = coeff
         if not buckets:
             return cls.zero(var)
         top = max(buckets)

@@ -1,10 +1,11 @@
 """Independent oracles shared by the tests.
 
 Nothing here reuses the library's fast paths: the swap closure explores raw
-words by breadth-first search, and the moment functional applies a moment
-list to an explicitly expanded product.  Both exist so the corresponding
-library operations can be checked against something that cannot share their
-bugs.
+words by breadth-first search, the moment functional applies a moment list
+to an explicitly expanded product, and the tuple monomials below are the
+library's former monomial representation, kept to check the packed one.
+Each exists so the corresponding library operation can be checked against
+something that cannot share its bugs.
 """
 
 from __future__ import annotations
@@ -14,7 +15,11 @@ from typing import Sequence
 
 from heaporth.basis import CoeffSpec
 from heaporth.heaps import Piece
-from heaporth.poly import MultiPoly, UniPoly
+from heaporth.poly import Indeterminate, MultiPoly, UniPoly
+
+# A tuple monomial: ((variable, exponent), ...) sorted by the variable order,
+# with no zero exponents.
+TupleMono = tuple[tuple[Indeterminate, int], ...]
 
 
 def swap_closure(word: Sequence[Piece]) -> set[tuple[Piece, ...]]:
@@ -55,3 +60,63 @@ def catalan_number(m: int) -> int:
     import math
 
     return math.comb(2 * m, m) // (m + 1)
+
+
+def tuple_mono(powers: dict[Indeterminate, int]) -> TupleMono:
+    return tuple(sorted(((v, e) for v, e in powers.items() if e), key=lambda p: p[0].sort_key))
+
+
+def tuple_mono_mul(a: TupleMono, b: TupleMono) -> TupleMono:
+    """Product by merging the two sorted variable lists."""
+    out: list[tuple[Indeterminate, int]] = []
+    i = j = 0
+    while i < len(a) and j < len(b):
+        (va, ea), (vb, eb) = a[i], b[j]
+        if va.sort_key == vb.sort_key:
+            out.append((va, ea + eb))
+            i += 1
+            j += 1
+        elif va.sort_key < vb.sort_key:
+            out.append(a[i])
+            i += 1
+        else:
+            out.append(b[j])
+            j += 1
+    return tuple(out + list(a[i:]) + list(b[j:]))
+
+
+def tuple_mono_div(a: TupleMono, b: TupleMono) -> TupleMono | None:
+    """a / b, or None when b does not divide a."""
+    rem = dict(a)
+    for v, e in b:
+        have = rem.get(v, 0)
+        if have < e:
+            return None
+        if have == e:
+            del rem[v]
+        else:
+            rem[v] = have - e
+    return tuple_mono(rem)
+
+
+def tuple_mono_cmp(a: TupleMono, b: TupleMono) -> int:
+    """Graded lexicographic comparison; positive when a > b.
+
+    Total degree first; at equal degree the earliest variable whose
+    exponents differ decides, and the larger exponent wins.
+    """
+    da, db = sum(e for _, e in a), sum(e for _, e in b)
+    if da != db:
+        return 1 if da > db else -1
+    i = j = 0
+    while i < len(a) or j < len(b):
+        if j >= len(b) or (i < len(a) and a[i][0].sort_key < b[j][0].sort_key):
+            return 1  # a owns the earliest differing variable
+        if i >= len(a) or b[j][0].sort_key < a[i][0].sort_key:
+            return -1
+        ea, eb = a[i][1], b[j][1]
+        if ea != eb:
+            return 1 if ea > eb else -1
+        i += 1
+        j += 1
+    return 0

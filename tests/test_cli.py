@@ -274,3 +274,62 @@ class TestPlumbing:
         assert parse_x_poly("-x + 2") == UniPoly((2, -1))
         with pytest.raises(ValueError):
             parse_x_poly("y^2")
+
+
+class TestCustomSpecErrors:
+    """A bad --spec custom:<file> gets one specific error line and exit 1."""
+
+    def _fails_cleanly(self, capsys, spec_arg):
+        code, out, err = run(capsys, "moments", "--spec", spec_arg, "--nmax", "2")
+        assert code == 1
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "Traceback" not in err
+        return lines[0]
+
+    def test_missing_file(self, capsys, tmp_path):
+        missing = tmp_path / "nope.json"
+        line = self._fails_cleanly(capsys, f"custom:{missing}")
+        assert "cannot read spec file" in line and str(missing) in line
+
+    def test_malformed_json(self, capsys, tmp_path):
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text('{"c": [0, 0,')
+        line = self._fails_cleanly(capsys, f"custom:{spec_file}")
+        assert "not valid JSON" in line
+
+    def test_not_an_object(self, capsys, tmp_path):
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text("[1, 2, 3]")
+        line = self._fails_cleanly(capsys, f"custom:{spec_file}")
+        assert "JSON object" in line
+
+    def test_non_numeric_entry(self, capsys, tmp_path):
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text('{"c": [0, "zero"], "lambda": [1]}')
+        line = self._fails_cleanly(capsys, f"custom:{spec_file}")
+        assert "c[1]" in line and "'zero'" in line
+
+    def test_zero_denominator(self, capsys, tmp_path):
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text('{"c": [0], "lambda": ["1/0"]}')
+        line = self._fails_cleanly(capsys, f"custom:{spec_file}")
+        assert "lambda[0]" in line
+
+    def test_entries_not_a_list(self, capsys, tmp_path):
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text('{"c": 3, "lambda": [1]}')
+        line = self._fails_cleanly(capsys, f"custom:{spec_file}")
+        assert "'c' must be a list" in line
+
+    def test_unknown_key(self, capsys, tmp_path):
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text('{"c": [0, 0, 0], "lambda": [1, 1], "lamda": [2]}')
+        line = self._fails_cleanly(capsys, f"custom:{spec_file}")
+        assert "unknown key" in line and "lamda" in line
+
+    def test_unknown_spec_name_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["moments", "--spec", "fibonacci", "--nmax", "2"])
+        assert info.value.code == 2
