@@ -347,7 +347,7 @@ def _cmd_verify(args) -> tuple[str, int]:
             names.extend(VERIFIER_NAMES)
         else:
             names.append(name)
-    results = run_verifiers(names, nmax=args.nmax, jobs=args.jobs)
+    results = run_verifiers(names, nmax=args.nmax)
     lines: list[str] = []
     first_fail: str | None = None
     for result in results:
@@ -453,7 +453,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help=f"one of {', '.join(VERIFIER_NAMES + ('ALL',))}",
     )
     p.add_argument("--nmax", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1)
 
     return parser
 

@@ -14,11 +14,18 @@ ground up, left to right within a level.  A heap whose order has a unique
 maximal piece is a pyramid, and that piece is its summit: pushing it down
 flattens the whole heap.
 
+Two pieces are comparable exactly when they share a column, so the heap
+routines keep per-column bookkeeping rather than comparing pieces pairwise
+(Cartier-Foata 1969; Viennot, "Heaps of pieces I", 1986): settling tracks
+the next free level of each column, a summit is a piece on top of every
+column it covers, and a minimal piece is at the bottom of every column it
+covers.
+
 Closed Motzkin paths embed into heaps: read the path word right to left,
 drop the descents, and turn each ascent a_i into the dimer d_{i+1} and each
 level step c_i into the monomer m_i.  The image is always a pyramid with
-summit m_0 or d_1, and the map is inverted here by backtracking over the
-orders in which the heap can be unstacked.
+summit m_0 or d_1.  The map is inverted by a walk that unstacks the heap
+from the ground up and whose every choice is forced; see heap_to_motzkin.
 """
 
 from __future__ import annotations
@@ -32,10 +39,6 @@ from .paths import MotzkinPath, PathWord, Step, path_word
 
 class NotInImageError(ValueError):
     """The heap is not the image of any closed Motzkin path."""
-
-
-class BijectionViolationError(AssertionError):
-    """Path reconstruction found no or several candidates; should not happen."""
 
 
 @dataclass(frozen=True)
@@ -143,13 +146,21 @@ class Heap:
 
 
 def settle(word: HeapWord) -> Heap:
-    """Drop the pieces of a word one by one onto the needles."""
+    """Drop the pieces of a word one by one onto the needles.
+
+    ``top[c]`` is the next free level of column c, so each piece lands at
+    the highest of them over the columns it covers: one pass over the word.
+    """
+    top: dict[int, int] = {}
     placed: list[PlacedPiece] = []
     for piece in word:
-        level = 0
-        for earlier in placed:
-            if earlier.piece.overlaps(piece):
-                level = max(level, earlier.level + 1)
+        i = piece.index
+        if piece.kind == "m":  # column i
+            level = top.get(i, 0)
+            top[i] = level + 1
+        else:  # columns i-1 and i
+            level = max(top.get(i - 1, 0), top.get(i, 0))
+            top[i - 1] = top[i] = level + 1
         placed.append(PlacedPiece(piece, level))
     return Heap.from_placed(placed)
 
@@ -167,19 +178,41 @@ def pyramid_summit(heap: Heap) -> Piece | None:
     """The unique maximal piece if the heap is a pyramid, else None.
 
     A piece is maximal when no piece with overlapping columns sits at a
-    higher level; the empty heap has no summit.
+    higher level, that is when it is at the top of every column it covers.
+    One pass records each column's highest level; the empty heap has no
+    summit.
     """
-    maximal = [
-        pp
-        for pp in heap.placed
-        if not any(
-            other.level > pp.level and other.piece.overlaps(pp.piece)
-            for other in heap.placed
-        )
-    ]
-    if len(maximal) == 1:
-        return maximal[0].piece
-    return None
+    top: dict[int, int] = {}
+    for pp in heap.placed:
+        for c in pp.piece.support:
+            if top.get(c, -1) < pp.level:
+                top[c] = pp.level
+    summit = None
+    for pp in heap.placed:
+        for c in pp.piece.support:
+            if top[c] != pp.level:
+                break
+        else:
+            if summit is not None:
+                return None
+            summit = pp.piece
+    return summit
+
+
+# Pieces are immutable, so one table shared by every caller is safe; it
+# holds one entry per (kind, index) ever seen, which path heights bound.
+_INTERNED: dict[tuple[str, int], Piece] = {}
+
+
+def _interned(kind: str, index: int) -> Piece:
+    """One shared Piece per (kind, index): validated and given its support once."""
+    piece = _INTERNED.get((kind, index))
+    if piece is None:
+        piece = _INTERNED[kind, index] = Piece(kind, index)
+    return piece
+
+
+_SUMMITS = (_interned("m", 0), _interned("d", 1))
 
 
 def motzkin_to_heap(word: PathWord) -> HeapWord:
@@ -192,82 +225,86 @@ def motzkin_to_heap(word: PathWord) -> HeapWord:
     out: list[Piece] = []
     for letter in reversed(word.letters):
         if letter.kind == "a":
-            out.append(Piece("d", letter.height + 1))
+            out.append(_interned("d", letter.height + 1))
         elif letter.kind == "c":
-            out.append(Piece("m", letter.height))
+            out.append(_interned("m", letter.height))
     return tuple(out)
 
 
 def heap_to_motzkin(heap: Heap) -> MotzkinPath:
     """Reconstruct the unique closed path whose image is this heap.
 
-    Walk the path backwards: repeatedly take away a minimal piece of the
-    remaining heap, padding with the dropped descents as the walk climbs.
-    The reversed-walk height g may only be raised (each reinserted descent
-    adds one), so a monomer m_i is consumable when g <= i and a dimer
-    d_{i+1} when g <= i+1.  A completion must consume everything and return
-    to g = 0.  Exactly one completion may exist; anything else signals that
-    the heap is outside the image, or a broken bijection.
+    Walk the path backwards, from its end at height 0, unstacking the heap
+    from the ground up.  Reversed, a descent climbs one level and adds no
+    piece; a level step c_j consumes the monomer m_j at height j; an ascent
+    a_{j-1} consumes the dimer d_j at height j and lands at j-1.  So a
+    piece is consumed at its target, its highest column (j for both m_j
+    and d_j), and the walk at height g reaches it by climbing, which needs
+    target >= g.  The consumed pieces, in order, are the image word of the
+    path, so each is minimal in what remains.
+
+    Every choice is forced: at height g the walk consumes the minimal
+    remaining piece with the smallest target t >= g.
+
+    - No ties: the only pieces with equal targets are m_t and d_t (or
+      copies of one piece), and they share column t, so they are
+      comparable and cannot both be minimal.
+    - No stranding: say a minimal piece q with target s, g <= s < t, is
+      passed over for a piece p with target t.  Consuming p leaves the walk
+      at height t or t-1, which is at least s.  At s it would mean p is
+      d_{s+1}, which shares column s with q, so p and q could not both be
+      minimal.  Above s, the walk must later come down to s to consume q,
+      and the only step from s+1 to s consumes d_{s+1}, which shares column
+      s with q.  Since q is minimal, d_{s+1} lies above q and cannot be
+      consumed before it: q is stranded.
+
+    Per-column stacks make the choice cheap: a minimal piece is at the
+    bottom of every column it covers, and a piece with target c covers
+    column c, so scanning the bottoms of columns g, g+1, ... finds the
+    first candidate.  The walk rejects the heap when no piece qualifies or
+    when it does not end at height 0.  A heap that is not settled can still
+    yield a walk, so the last check is that settling the consumed pieces
+    gives back the heap.
     """
     summit = pyramid_summit(heap)
     if summit is None:
         raise NotInImageError("heap is not a pyramid")
-    if summit not in (Piece("m", 0), Piece("d", 1)):
+    if summit not in _SUMMITS:
         raise NotInImageError(f"summit {summit} is neither m0 nor d1")
-    placed = heap.placed
-    n = len(placed)
-    full = (1 << n) - 1
-    solutions: list[tuple[Step, ...]] = []
-    letters: list[Step] = []
-
-    def minimal(idx: int, mask: int) -> bool:
-        pp = placed[idx]
-        for j in range(n):
-            if mask & (1 << j) or j == idx:
-                continue
-            other = placed[j]
-            if other.level < pp.level and other.piece.overlaps(pp.piece):
-                return False
-        return True
-
-    def rec(mask: int, g: int) -> None:
-        if len(solutions) > 1:
-            return
-        if mask == full:
-            if g == 0:
-                solutions.append(tuple(letters))
-            return
-        for idx in range(n):
-            if mask & (1 << idx) or not minimal(idx, mask):
-                continue
-            piece = placed[idx].piece
-            if piece.kind == "m":
-                target = piece.index
-                climb = target - g
-                if climb < 0:
-                    continue
-                letters.extend([Step.SE] * climb)
-                letters.append(Step.E)
-            else:
-                target = piece.index  # dimer d_{i+1}: climb to i+1, land at i
-                climb = target - g
-                if climb < 0:
-                    continue
-                letters.extend([Step.SE] * climb)
-                letters.append(Step.NE)
-                target -= 1
-            rec(mask | (1 << idx), target)
-            del letters[len(letters) - climb - 1 :]
-
-    rec(0, 0)
-    if not solutions:
+    # Each column's pieces, top first, so that the bottom one is stack[-1].
+    stacks: dict[int, list[PlacedPiece]] = {}
+    for pp in reversed(heap.placed):
+        for c in pp.piece.support:
+            stacks.setdefault(c, []).append(pp)
+    top_col = max(stacks)
+    word: list[Piece] = []
+    letters: list[Step] = []  # the path's steps, last step first
+    g = 0
+    for _ in range(heap.size):
+        for c in range(g, top_col + 1):
+            stack = stacks.get(c)
+            if stack:
+                pp = stack[-1]
+                piece = pp.piece
+                if piece.index == c and (
+                    piece.kind == "m" or stacks[c - 1][-1] is pp
+                ):
+                    break
+        else:
+            raise NotInImageError("no closed path settles to this heap")
+        for col in piece.support:
+            stacks[col].pop()
+        letters.extend([Step.SE] * (c - g))
+        if piece.kind == "m":
+            letters.append(Step.E)
+            g = c
+        else:
+            letters.append(Step.NE)
+            g = c - 1
+        word.append(piece)
+    if g != 0 or settle(tuple(word)) != heap:
         raise NotInImageError("no closed path settles to this heap")
-    if len(solutions) > 1:
-        raise BijectionViolationError(
-            "several closed paths settle to the same heap"
-        )
-    steps = tuple(reversed(solutions[0]))
-    return MotzkinPath(0, steps)
+    return MotzkinPath(0, tuple(reversed(letters)))
 
 
 def path_to_heap(path: MotzkinPath) -> Heap:

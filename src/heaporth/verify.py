@@ -14,7 +14,6 @@ symbolic one.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -364,12 +363,6 @@ def run_verifier(name: str, nmax: int | None = None) -> VerifyResult:
     return fn(nmax)
 
 
-def run_verifiers(
-    names: list[str], nmax: int | None = None, jobs: int = 1
-) -> list[VerifyResult]:
-    """Run several checks; output order always follows the request order."""
-    if jobs <= 1:
-        return [run_verifier(name, nmax) for name in names]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(run_verifier, name, nmax) for name in names]
-        return [f.result() for f in futures]
+def run_verifiers(names: list[str], nmax: int | None = None) -> list[VerifyResult]:
+    """Run several checks in the order requested."""
+    return [run_verifier(name, nmax) for name in names]

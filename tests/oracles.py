@@ -2,8 +2,10 @@
 
 Nothing here reuses the library's fast paths: the swap closure explores raw
 words by breadth-first search, the moment functional applies a moment list
-to an explicitly expanded product, and the tuple monomials below are the
-library's former monomial representation, kept to check the packed one.
+to an explicitly expanded product, the tuple monomials below are the
+library's former monomial representation, kept to check the packed one,
+and the pairwise heap routines are the library's former settling, summit
+and path reconstruction, kept to check the per-column ones.
 Each exists so the corresponding library operation can be checked against
 something that cannot share its bugs.
 """
@@ -14,7 +16,8 @@ from collections import deque
 from typing import Sequence
 
 from heaporth.basis import CoeffSpec
-from heaporth.heaps import Piece
+from heaporth.heaps import Heap, NotInImageError, Piece, PlacedPiece
+from heaporth.paths import MotzkinPath, Step
 from heaporth.poly import Indeterminate, MultiPoly, UniPoly
 
 # A tuple monomial: ((variable, exponent), ...) sorted by the variable order,
@@ -120,3 +123,95 @@ def tuple_mono_cmp(a: TupleMono, b: TupleMono) -> int:
         i += 1
         j += 1
     return 0
+
+
+class BijectionViolationError(AssertionError):
+    """Path reconstruction found several candidates; should not happen."""
+
+
+def settle_pairwise(word: Sequence[Piece]) -> Heap:
+    """Each piece lands one above the highest earlier piece it overlaps."""
+    placed: list[PlacedPiece] = []
+    for piece in word:
+        level = 0
+        for earlier in placed:
+            if earlier.piece.overlaps(piece):
+                level = max(level, earlier.level + 1)
+        placed.append(PlacedPiece(piece, level))
+    return Heap.from_placed(placed)
+
+
+def pyramid_summit_pairwise(heap: Heap) -> Piece | None:
+    """The only piece with no overlapping piece above it, if there is one."""
+    maximal = [
+        pp
+        for pp in heap.placed
+        if not any(
+            other.level > pp.level and other.piece.overlaps(pp.piece)
+            for other in heap.placed
+        )
+    ]
+    if len(maximal) == 1:
+        return maximal[0].piece
+    return None
+
+
+def heap_to_motzkin_backtrack(heap: Heap) -> MotzkinPath:
+    """Every order of unstacking minimal pieces, searched over subsets.
+
+    The reversed-walk height g may only be raised (each reinserted descent
+    adds one), so a monomer m_i is consumable when g <= i and a dimer
+    d_{i+1} when g <= i+1.  A completion must consume everything and return
+    to g = 0; exactly one may exist.
+    """
+    summit = pyramid_summit_pairwise(heap)
+    if summit is None:
+        raise NotInImageError("heap is not a pyramid")
+    if summit not in (Piece("m", 0), Piece("d", 1)):
+        raise NotInImageError(f"summit {summit} is neither m0 nor d1")
+    placed = heap.placed
+    n = len(placed)
+    full = (1 << n) - 1
+    solutions: list[tuple[Step, ...]] = []
+    letters: list[Step] = []
+
+    def minimal(idx: int, mask: int) -> bool:
+        pp = placed[idx]
+        for j in range(n):
+            if mask & (1 << j) or j == idx:
+                continue
+            other = placed[j]
+            if other.level < pp.level and other.piece.overlaps(pp.piece):
+                return False
+        return True
+
+    def rec(mask: int, g: int) -> None:
+        if len(solutions) > 1:
+            return
+        if mask == full:
+            if g == 0:
+                solutions.append(tuple(letters))
+            return
+        for idx in range(n):
+            if mask & (1 << idx) or not minimal(idx, mask):
+                continue
+            piece = placed[idx].piece
+            target = piece.index  # m_i climbs to i; d_{i+1} climbs to i+1
+            climb = target - g
+            if climb < 0:
+                continue
+            letters.extend([Step.SE] * climb)
+            if piece.kind == "m":
+                letters.append(Step.E)
+            else:
+                letters.append(Step.NE)
+                target -= 1  # and lands at i
+            rec(mask | (1 << idx), target)
+            del letters[len(letters) - climb - 1 :]
+
+    rec(0, 0)
+    if not solutions:
+        raise NotInImageError("no closed path settles to this heap")
+    if len(solutions) > 1:
+        raise BijectionViolationError("several closed paths settle to the same heap")
+    return MotzkinPath(0, tuple(reversed(solutions[0])))

@@ -218,13 +218,6 @@ class TestVerifyCommand:
         _, second, _ = run(capsys, "verify", "T3.4", "T3.5", "--nmax", "3")
         assert first == second
 
-    def test_jobs_do_not_change_output(self, capsys):
-        _, serial, _ = run(capsys, "verify", "I5", "I6", "E5.17", "--nmax", "4")
-        _, parallel, _ = run(
-            capsys, "verify", "I5", "I6", "E5.17", "--nmax", "4", "--jobs", "3"
-        )
-        assert serial == parallel
-
     def test_unknown_identity_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["verify", "T9.9"])

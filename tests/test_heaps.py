@@ -1,6 +1,8 @@
 """Settling, canonical words, pyramids, and the closed-path bijection."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heaporth.heaps import (
     Heap,
@@ -18,7 +20,12 @@ from heaporth.heaps import (
 )
 from heaporth.paths import MotzkinPath, PathWord, Step, enumerate_paths, path_word
 
-from oracles import swap_closure
+from oracles import (
+    heap_to_motzkin_backtrack,
+    pyramid_summit_pairwise,
+    settle_pairwise,
+    swap_closure,
+)
 
 # the worked example: two words with the same heap and its canonical reading
 W1 = "m0 d2 m2 d1 m1 d2 m3 m3"
@@ -199,6 +206,50 @@ class TestHeapToMotzkin:
     def test_empty_heap_rejected(self):
         with pytest.raises(NotInImageError):
             heap_to_motzkin(Heap(()))
+
+    def test_unsettled_heap_rejected(self):
+        # m0 at levels 0 and 2 has a gap; the path E,E settles to m0@0 m0@1
+        heap = Heap.from_json_dict(
+            {"pieces": [{"kind": "m", "i": 0, "level": 0}, {"kind": "m", "i": 0, "level": 2}]}
+        )
+        assert str(path_to_heap(MotzkinPath.parse("E,E@0"))) == "m0@0 m0@1"
+        with pytest.raises(NotInImageError):
+            heap_to_motzkin(heap)
+
+
+def _inversion(reconstruct, heap):
+    """The path, or the rejection with its message."""
+    try:
+        return reconstruct(heap)
+    except NotInImageError as exc:
+        return NotInImageError, str(exc)
+
+
+class TestAgainstPairwiseOracles:
+    def test_every_closed_path_to_length_10(self):
+        # the subset backtrack is 2^n, so this stops well below ENUMERATION_CAP
+        total = 0
+        for n in range(1, 11):
+            for path in enumerate_paths(0, 0, n):
+                word = motzkin_to_heap(path_word(path))
+                heap = settle(word)
+                assert heap == settle_pairwise(word)
+                assert pyramid_summit(heap) == pyramid_summit_pairwise(heap)
+                assert heap_to_motzkin(heap) == heap_to_motzkin_backtrack(heap) == path
+                total += 1
+        assert total == 3561
+
+
+_PIECES = [Piece("m", i) for i in range(5)] + [Piece("d", i) for i in range(1, 5)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(_PIECES), max_size=10))
+def test_random_words_match_pairwise_oracles(word):
+    heap = settle(word)
+    assert heap == settle_pairwise(word)
+    assert pyramid_summit(heap) == pyramid_summit_pairwise(heap)
+    assert _inversion(heap_to_motzkin, heap) == _inversion(heap_to_motzkin_backtrack, heap)
 
 
 class TestJson:
