@@ -19,8 +19,12 @@ with mu_n = h[n][0].  The scalar product of two polynomials is the moment
 functional applied to their product: <A, B> = sum a_i b_j mu_{i+j}.
 
 Determinants of moment matrices are evaluated by fraction-free Bareiss
-elimination over the polynomial ring; the bordered determinant that encodes
-Q_n itself is expanded by cofactors along its last row.
+elimination over the polynomial ring.  Q_n itself is the bordered
+determinant (the n x (n+1) moment block [mu_{i+j}] over a last row
+1, x, ..., x**n) divided by d_{n-1}.  Its coefficient of x**j is the cofactor
+of that last-row entry, so by Cramer's rule the coefficients are the
+solution of one linear system, which a single fraction-free Gauss-Jordan
+pass over the moment block produces; see ``qn_via_determinant``.
 """
 
 from __future__ import annotations
@@ -373,8 +377,25 @@ def hankel_dets(n: int, mu: MomentSeq) -> tuple[MultiPoly, MultiPoly]:
 def qn_via_determinant(n: int, mu: MomentSeq) -> UniPoly:
     """Q_n from the bordered moment matrix whose last row is 1, x, ..., x**n.
 
-    Cofactor expansion along the last row, divided by the size-n plain
-    Hankel determinant; division is exact in the polynomial ring.
+    Expanding the bordered determinant along its last row gives Q_n =
+    sum_j C_j x**j / d_{n-1}, where C_j is the cofactor of x**j: up to sign,
+    the minor of the n x (n+1) block M = [mu_{i+j}] with column j deleted.
+    Cramer's rule reads the same minors off the system A y = b, where A is
+    the first n columns of M (det A = d_{n-1}) and b is its last column:
+    y_j = -C_j / d_{n-1}.
+
+    One fraction-free Gauss-Jordan pass over M computes them together.  At
+    step k every row i != k gets m_ij = (m_kk m_ij - m_ik m_kj) / p for
+    j > k, with p the previous pivot (1 at the start).  This leaves
+    [D I | v] with D = +-d_{n-1} the last pivot and v_j / D = y_j, so Q_n
+    has coefficients -v_j / D and leading 1; columns up to k are never read
+    again, so they are not rewritten.
+
+    Every intermediate entry is, up to sign, a minor of M (Sylvester's
+    identity), so each division is exact in the polynomial ring.  Row swaps
+    permute the equations without changing y, and D and v change sign
+    together, so no sign is tracked.  A column with no nonzero pivot left
+    means d_{n-1} = 0.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -384,20 +405,28 @@ def qn_via_determinant(n: int, mu: MomentSeq) -> UniPoly:
         raise InsufficientMomentsError(
             f"need moments up to {2 * n - 1}, have {mu.n_max}"
         )
-    d_prev = HankelMatrix.plain(n - 1, mu).det() if n >= 1 else MultiPoly.one()
-    if d_prev.is_zero:
-        raise SingularHankelError(f"leading Hankel determinant d_{n-1} vanishes")
-    base = [[mu.mu[i + j] for j in range(n + 1)] for i in range(n)]
-    coeffs: list[MultiPoly] = []
-    for j in range(n + 1):
-        minor = [
-            [base[i][jj] for jj in range(n + 1) if jj != j] for i in range(n)
-        ]
-        cof = det_bareiss(minor)
-        if (n + j) % 2 == 1:
-            cof = -cof
-        coeffs.append(cof.exact_div(d_prev))
-    return UniPoly(coeffs)
+    m = [[mu.mu[i + j] for j in range(n + 1)] for i in range(n)]
+    prev = MultiPoly.one()
+    for k in range(n):
+        if m[k][k].is_zero:
+            for i in range(k + 1, n):
+                if not m[i][k].is_zero:
+                    m[k], m[i] = m[i], m[k]
+                    break
+            else:
+                raise SingularHankelError(
+                    f"leading Hankel determinant d_{n-1} vanishes"
+                )
+        pivot, pivot_row = m[k][k], m[k]
+        for i in range(n):
+            if i == k:
+                continue
+            row = m[i]
+            factor = row[k]
+            for j in range(k + 1, n + 1):
+                row[j] = (pivot * row[j] - factor * pivot_row[j]).exact_div(prev)
+        prev = pivot
+    return UniPoly([(-m[i][n]).exact_div(prev) for i in range(n)] + [1])
 
 
 def basis_inverse_check(n: int, basis: OrthoBasis, mu: MomentSeq) -> bool:

@@ -4,8 +4,10 @@ Nothing here reuses the library's fast paths: the swap closure explores raw
 words by breadth-first search, the moment functional applies a moment list
 to an explicitly expanded product, the tuple monomials below are the
 library's former monomial representation, kept to check the packed one,
-and the pairwise heap routines are the library's former settling, summit
-and path reconstruction, kept to check the per-column ones.
+the pairwise heap routines are the library's former settling, summit
+and path reconstruction, kept to check the per-column ones, and the
+cofactor expansion is the library's former bordered-determinant route to
+Q_n, kept to check the Gauss-Jordan one.
 Each exists so the corresponding library operation can be checked against
 something that cannot share its bugs.
 """
@@ -15,7 +17,14 @@ from __future__ import annotations
 from collections import deque
 from typing import Sequence
 
-from heaporth.basis import CoeffSpec
+from heaporth.basis import (
+    CoeffSpec,
+    HankelMatrix,
+    InsufficientMomentsError,
+    MomentSeq,
+    SingularHankelError,
+    det_bareiss,
+)
 from heaporth.heaps import Heap, NotInImageError, Piece, PlacedPiece
 from heaporth.paths import MotzkinPath, Step
 from heaporth.poly import Indeterminate, MultiPoly, UniPoly
@@ -63,6 +72,36 @@ def catalan_number(m: int) -> int:
     import math
 
     return math.comb(2 * m, m) // (m + 1)
+
+
+def qn_via_cofactors(n: int, mu: MomentSeq) -> UniPoly:
+    """Q_n by expanding the bordered moment matrix along its last row.
+
+    One Bareiss determinant per cofactor of the row 1, x, ..., x**n, each
+    divided by the size-n plain Hankel determinant d_{n-1}.
+    """
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if n == 0:
+        return UniPoly.one()
+    if 2 * n - 1 > mu.n_max:
+        raise InsufficientMomentsError(
+            f"need moments up to {2 * n - 1}, have {mu.n_max}"
+        )
+    d_prev = HankelMatrix.plain(n - 1, mu).det()
+    if d_prev.is_zero:
+        raise SingularHankelError(f"leading Hankel determinant d_{n-1} vanishes")
+    base = [[mu.mu[i + j] for j in range(n + 1)] for i in range(n)]
+    coeffs: list[MultiPoly] = []
+    for j in range(n + 1):
+        minor = [
+            [base[i][jj] for jj in range(n + 1) if jj != j] for i in range(n)
+        ]
+        cof = det_bareiss(minor)
+        if (n + j) % 2 == 1:
+            cof = -cof
+        coeffs.append(cof.exact_div(d_prev))
+    return UniPoly(coeffs)
 
 
 def tuple_mono(powers: dict[Indeterminate, int]) -> TupleMono:

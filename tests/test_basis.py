@@ -3,12 +3,16 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heaporth.basis import (
     CoeffSpec,
     DegenerateSpecError,
     HankelMatrix,
     InsufficientMomentsError,
+    MomentSeq,
+    SingularHankelError,
     SymbolicMatrixError,
     basis_inverse_check,
     det_bareiss,
@@ -23,7 +27,7 @@ from heaporth.basis import (
 )
 from heaporth.poly import MultiPoly, UniPoly
 
-from oracles import apply_moment_functional, catalan_number
+from oracles import apply_moment_functional, catalan_number, qn_via_cofactors
 
 x = MultiPoly.x()
 c0, c1 = MultiPoly.c(0), MultiPoly.c(1)
@@ -250,6 +254,72 @@ class TestQnViaDeterminant:
         assert qn_via_determinant(2, mu) == UniPoly((-1, 0, 1))
         d1, _ = hankel_dets(1, mu)
         assert d1 == MultiPoly.one()
+
+
+def _qn_outcome(route, n, mu):
+    """Q_n from one route, or the SingularHankelError message it raised."""
+    try:
+        return route(n, mu)
+    except SingularHankelError as exc:
+        return f"singular: {exc}"
+
+
+def _hand_built(moments) -> MomentSeq:
+    """A moment sequence given directly, with no triangle behind it."""
+    return MomentSeq(
+        CoeffSpec.custom([], []), tuple(MultiPoly.const(v) for v in moments), ()
+    )
+
+
+_small_rationals = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-3, max_value=3, max_denominator=3),
+)
+
+
+class TestQnAgreesWithCofactors:
+    """The Gauss-Jordan route against the cofactor-expansion oracle."""
+
+    def test_symbolic(self):
+        mu = stieltjes_moments(9, SYM)
+        for n in range(6):
+            assert qn_via_determinant(n, mu) == qn_via_cofactors(n, mu)
+
+    @pytest.mark.parametrize("spec", [CAT, FIB], ids=str)
+    def test_catalan_and_fibonacci(self, spec):
+        mu = stieltjes_moments(23, spec)
+        for n in range(13):
+            assert qn_via_determinant(n, mu) == qn_via_cofactors(n, mu)
+
+    def test_zero_first_pivot_swaps_rows(self):
+        # mu_0 = 0 but d_1 = -1: the first column's pivot comes from row 1
+        mu = _hand_built([0, 1, 1, 2])
+        assert qn_via_determinant(2, mu) == UniPoly((-1, -1, 1))
+        assert qn_via_cofactors(2, mu) == UniPoly((-1, -1, 1))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_small_rationals, min_size=2, max_size=10), st.booleans())
+    def test_hand_built_moments(self, moments, zero_head):
+        n = len(moments) // 2
+        if zero_head:
+            moments = [Fraction(0)] + moments[1:]
+        mu = _hand_built(moments)
+        assert _qn_outcome(qn_via_determinant, n, mu) == _qn_outcome(
+            qn_via_cofactors, n, mu
+        )
+
+
+class TestSingularHankel:
+    def test_vanishing_lambda_2_makes_d_2_singular(self):
+        # d_2 = lambda_1^2 lambda_2, so lambda_2 = 0 leaves Q_3 undefined
+        spec = CoeffSpec.custom([1, 2, 3, 4, 5, 6], [1, 0, 2, 3, 4, 5])
+        mu = stieltjes_moments(5, spec)
+        assert hankel_dets(2, mu)[0].is_zero
+        assert qn_via_determinant(2, mu) == generate_basis(2, spec).poly(2)
+        with pytest.raises(
+            SingularHankelError, match=r"^leading Hankel determinant d_2 vanishes$"
+        ):
+            qn_via_determinant(3, mu)
 
 
 class TestBasisInverse:
