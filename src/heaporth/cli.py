@@ -68,6 +68,17 @@ def _spec_token(token: str) -> str:
     )
 
 
+def _depth(token: str) -> int:
+    """Check a --nmax value for verify: an int >= 0."""
+    try:
+        value = int(token)
+    except ValueError:
+        value = None
+    if value is None or value < 0:
+        raise argparse.ArgumentTypeError(f"invalid depth {token!r} (expected an int >= 0)")
+    return value
+
+
 def _parse_spec(token: str) -> CoeffSpec:
     if token in _NAMED_SPECS:
         return _NAMED_SPECS[token]()
@@ -452,7 +463,7 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="IDENTITY",
         help=f"one of {', '.join(VERIFIER_NAMES + ('ALL',))}",
     )
-    p.add_argument("--nmax", type=int, default=None)
+    p.add_argument("--nmax", type=_depth, default=None)
 
     return parser
 

@@ -25,6 +25,10 @@ class JacobiConvergenceError(ArithmeticError):
     """The cyclic Jacobi sweep failed to drive the off-diagonal to zero."""
 
 
+# Largest Hankel matrix that jacobi_eigen_positivity accepts.
+JACOBI_MAX_SIZE = 12
+
+
 def binet_eval(n: int, x: float) -> float:
     """Closed-form value of the degree-n Fibonacci-recursion polynomial.
 
@@ -119,7 +123,14 @@ def gf_coeff_check(n_max: int) -> bool:
 def jacobi_eigenvalues(
     rows: list[list[float]], tol: float = 1e-12, max_sweeps: int = 100
 ) -> list[float]:
-    """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations."""
+    """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations.
+
+    ``tol`` is relative: the sweeps stop once the off-diagonal Frobenius
+    norm is at most ``tol`` times the Frobenius norm of the whole matrix,
+    which rotations preserve.  An absolute bound could never be met by
+    matrices whose entries are large enough that rounding alone leaves more
+    off-diagonal mass than it allows.
+    """
     n = len(rows)
     a = [list(map(float, row)) for row in rows]
     for i in range(n):
@@ -128,16 +139,17 @@ def jacobi_eigenvalues(
         for j in range(i + 1, n):
             if not math.isclose(a[i][j], a[j][i], rel_tol=0.0, abs_tol=1e-12):
                 raise ValueError("matrix must be symmetric")
+    bound = tol * math.sqrt(sum(x * x for row in a for x in row))
     for _ in range(max_sweeps):
         off = math.sqrt(
             sum(a[i][j] ** 2 for i in range(n) for j in range(n) if i != j)
         )
-        if off < tol:
+        if off <= bound:
             return sorted(a[i][i] for i in range(n))
         for p in range(n - 1):
             for q in range(p + 1, n):
                 apq = a[p][q]
-                if abs(apq) < tol / (n * n + 1):
+                if abs(apq) < bound / (n * n + 1):
                     continue
                 theta = (a[q][q] - a[p][p]) / (2.0 * apq)
                 t = math.copysign(1.0, theta) / (
@@ -160,8 +172,8 @@ def jacobi_eigenvalues(
 
 def jacobi_eigen_positivity(matrix: HankelMatrix) -> bool:
     """True iff every eigenvalue of the (numeric) Hankel matrix is > 1e-9."""
-    if matrix.size > 12:
-        raise ValueError("eigenvalue corroboration supports size <= 12")
+    if matrix.size > JACOBI_MAX_SIZE:
+        raise ValueError(f"eigenvalue corroboration supports size <= {JACOBI_MAX_SIZE}")
     if matrix.variant != "plain":
         raise ValueError("eigenvalue check applies to the symmetric variant")
     rows = []

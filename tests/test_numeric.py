@@ -13,6 +13,7 @@ from heaporth.basis import (
     stieltjes_moments,
 )
 from heaporth.numeric import (
+    JACOBI_MAX_SIZE,
     binet_eval,
     catalan_integral,
     gf_coeff_check,
@@ -110,6 +111,23 @@ class TestJacobi:
                 matrix = HankelMatrix.plain(n, mu)
                 exact = hankel_positivity(matrix).positive_definite
                 assert jacobi_eigen_positivity(matrix) is exact
+
+    def test_largest_size_converges(self):
+        # Entries reach Catalan(11) = 58786; an absolute off-diagonal
+        # tolerance of 1e-12 is below what rounding leaves at that scale.
+        for spec in (CAT, FIB):
+            mu = stieltjes_moments(2 * JACOBI_MAX_SIZE, spec)
+            matrix = HankelMatrix.plain(JACOBI_MAX_SIZE - 1, mu)
+            rows = [[float(e.constant_value()) for e in row] for row in matrix.rows()]
+            eigen = jacobi_eigenvalues(rows)
+            assert sum(eigen) == pytest.approx(sum(rows[i][i] for i in range(JACOBI_MAX_SIZE)))
+            exact = hankel_positivity(matrix).positive_definite
+            assert jacobi_eigen_positivity(matrix) is exact is (spec is CAT)
+
+    def test_size_cap(self):
+        mu = stieltjes_moments(2 * JACOBI_MAX_SIZE, CAT)
+        with pytest.raises(ValueError, match="size <= 12"):
+            jacobi_eigen_positivity(HankelMatrix.plain(JACOBI_MAX_SIZE, mu))
 
     def test_shifted_variant_rejected(self):
         mu = stieltjes_moments(5, CAT)
