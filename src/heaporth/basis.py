@@ -15,8 +15,17 @@ Moments are computed by the Stieltjes triangle
     h[n][k] = lambda_k h[n-1][k-1] + c_k h[n-1][k] + h[n-1][k+1],
     h[0][0] = 1,   h[n][k] = 0 for k > n,
 
-with mu_n = h[n][0].  The scalar product of two polynomials is the moment
-functional applied to their product: <A, B> = sum a_i b_j mu_{i+j}.
+with mu_n = h[n][0].  An entry reads at most one column to its right in
+the row above, so mu_N = h[N][0] depends only on the wedge k <= N - n:
+``stieltjes_moments(N)`` fills row n only for k <= min(n, N - n) and keeps
+one row at a time.  The wedge reads c_k for k <= ceil(N/2) - 1 and
+lambda_k for k <= floor(N/2), which is why c_0..c_m and lambda_1..lambda_m
+determine mu_0..mu_{2m+1}.  ``MomentSeq.h_entry`` answers for the whole
+triangle: the first time it is asked for row n it fills full rows 0..n
+with the same row step and caches them.
+
+The scalar product of two polynomials is the moment functional applied to
+their product: <A, B> = sum a_i b_j mu_{i+j}.
 
 Determinants of moment matrices are evaluated by fraction-free Bareiss
 elimination over the polynomial ring.  Q_n itself is the bordered
@@ -180,11 +189,22 @@ def generate_basis(n_max: int, spec: CoeffSpec) -> OrthoBasis:
 
 @dataclass(frozen=True)
 class MomentSeq:
-    """Moments mu_0..mu_M together with the full Stieltjes triangle."""
+    """Moments mu_0..mu_M, with the Stieltjes triangle filled on demand.
+
+    ``rows`` caches the full triangle rows 0, 1, ... that ``h_entry`` has
+    filled so far; it is not part of the value, so equality and hashing
+    look at ``spec`` and ``mu`` alone.
+    """
 
     spec: CoeffSpec
     mu: tuple[MultiPoly, ...]
-    h: tuple[tuple[MultiPoly, ...], ...] = field(repr=False)
+    rows: list[tuple[MultiPoly, ...]] = field(
+        default_factory=list, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        rows = list(self.rows) or [(MultiPoly.one(),)]
+        object.__setattr__(self, "rows", rows)
 
     @property
     def n_max(self) -> int:
@@ -200,7 +220,10 @@ class MomentSeq:
         return self.mu[n]
 
     def h_entry(self, n: int, k: int) -> MultiPoly:
-        """Triangle entry h[n][k]; zero for k > n."""
+        """Triangle entry h[n][k]; zero for k > n.
+
+        The first call for row n fills and caches every full row up to n.
+        """
         if n < 0 or k < 0:
             raise IndexError("triangle indices must be >= 0")
         if n > self.n_max:
@@ -209,29 +232,49 @@ class MomentSeq:
             )
         if k > n:
             return MultiPoly.zero()
-        return self.h[n][k]
+        rows = self.rows
+        while len(rows) <= n:
+            rows.append(_triangle_row(rows[-1], len(rows), self.spec))
+        return rows[n][k]
+
+
+def _triangle_row(
+    prev: tuple[MultiPoly, ...], width: int, spec: CoeffSpec
+) -> tuple[MultiPoly, ...]:
+    """Entries h[n][0..width] from row n - 1, given as prev; width <= len(prev).
+
+    Entries past the end of prev count as zero.  For a full row (width n,
+    prev of length n) that is the triangle's own boundary; for a wedge row
+    of ``stieltjes_moments`` every entry it reads lies inside prev.
+    """
+    last = len(prev) - 1
+    row: list[MultiPoly] = []
+    for k in range(width + 1):
+        parts = []
+        if k >= 1:
+            parts.append(spec.lam(k) * prev[k - 1])
+        if k <= last:
+            parts.append(spec.c(k) * prev[k])
+        if k + 1 <= last:
+            parts.append(prev[k + 1])
+        row.append(MultiPoly.sum(parts))
+    return tuple(row)
 
 
 def stieltjes_moments(n_max: int, spec: CoeffSpec) -> MomentSeq:
-    """Fill the moment triangle row by row and read off mu_n = h[n][0]."""
+    """mu_0..mu_{n_max} from the wedge of the triangle that mu_{n_max} needs.
+
+    Row n is filled only for k <= min(n, n_max - n), and only the previous
+    row is kept.
+    """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    rows: list[tuple[MultiPoly, ...]] = [(MultiPoly.one(),)]
+    row: tuple[MultiPoly, ...] = (MultiPoly.one(),)
+    mu = [row[0]]
     for n in range(1, n_max + 1):
-        prev = rows[n - 1]
-        row: list[MultiPoly] = []
-        for k in range(n + 1):
-            acc = MultiPoly.zero()
-            if k >= 1 and k - 1 <= n - 1:
-                acc = acc + spec.lam(k) * prev[k - 1]
-            if k <= n - 1:
-                acc = acc + spec.c(k) * prev[k]
-            if k + 1 <= n - 1:
-                acc = acc + prev[k + 1]
-            row.append(acc)
-        rows.append(tuple(row))
-    mu = tuple(rows[n][0] for n in range(n_max + 1))
-    return MomentSeq(spec, mu, tuple(rows))
+        row = _triangle_row(row, min(n, n_max - n), spec)
+        mu.append(row[0])
+    return MomentSeq(spec, tuple(mu))
 
 
 def scalar_product(a: UniPoly, b: UniPoly, mu: MomentSeq) -> MultiPoly:

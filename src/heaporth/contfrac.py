@@ -10,8 +10,16 @@ denominator's constant term is 1, which turns the identities relating them
 to the reversed basis polynomials into plain cross-multiplications.
 
 The series of the full fraction agrees with a convergent well past the
-cut -- the coefficient of x^k is stable once 2n + 1 >= k -- so moments can
-be read off a sufficiently deep convergent by exact long division.
+cut: the coefficient of x^k is stable once 2n + 1 >= k.  ``j_series`` does
+not expand a convergent, though.  It reads the fraction as the first-return
+decomposition of weighted Motzkin paths (Flajolet, "Combinatorial aspects
+of continued fractions", Discrete Math. 32, 1980),
+
+    F_k = 1 / (1 - c_k x - lambda_{k+1} x^2 F_{k+1}),
+
+and expands it from the bottom up, with no division and, for the symbolic
+spec, no cancellation.  The long division of a convergent,
+``convergent(n).value.series(order)``, is what the tests check it against.
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .basis import CoeffSpec, generate_basis
-from .poly import UniPoly, reciprocal_poly
+from .poly import MultiPoly, UniPoly, reciprocal_poly
 from .series import RationalFn, TruncatedSeries
 
 
@@ -83,15 +91,45 @@ def convergent_difference(n: int, spec: CoeffSpec) -> bool:
 
 
 def j_series(order: int, spec: CoeffSpec) -> TruncatedSeries:
-    """Moment generating series to the requested order.
+    """Moment generating series F_0 to the requested order, by first return.
 
-    Expands a convergent deep enough that every returned coefficient is
-    already stable (depth m with 2m + 1 >= order).
+    F_k counts paths that never go below height k, split at their first
+    return to height k: a level step (c_k x), or an up step, a path at
+    height k + 1 and a down step (lambda_{k+1} x^2 F_{k+1}), followed by
+    the rest of the path.  So F_k = 1 / (1 - u) with u = c_k x +
+    lambda_{k+1} x^2 F_{k+1}, and its coefficients are g_0 = 1,
+    g_n = sum_{i >= 1} u_i g_{n-i}.  F_k is needed only to order
+    order - 2k, so the expansion starts at level order // 2 and reads
+    c_k for k <= ceil(order/2) - 1 and lambda_k for k <= floor(order/2).
+
+    This is a different decomposition from the Stieltjes triangle in
+    ``basis``, which splits a path at its last step; neither route calls
+    the other, nor ``series_div``.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
-    depth = (order + 1) // 2
-    return convergent(depth, spec).value.series(order)
+    # read in the fraction's own order c_0, lambda_1, c_1, ..., so that a
+    # short custom spec is reported by its first missing coefficient
+    cs: list[MultiPoly] = []
+    lams: list[MultiPoly] = []
+    for k in range(order // 2 + 1):
+        if 2 * k + 1 <= order:
+            cs.append(spec.c(k))
+        if 2 * k + 2 <= order:
+            lams.append(spec.lam(k + 1))
+    deeper: list[MultiPoly] = []  # F_{k+1} to order order - 2k - 2
+    for k in range(order // 2, -1, -1):
+        g = [MultiPoly.one()]
+        for n in range(1, order - 2 * k + 1):
+            # g_n = c_k g_{n-1} + lambda_{k+1} sum_j F_{k+1,j} g_{n-2-j}
+            gn = cs[k] * g[n - 1]
+            if n >= 2:
+                gn = gn + lams[k] * MultiPoly.sum(
+                    deeper[j] * g[n - 2 - j] for j in range(n - 1)
+                )
+            g.append(gn)
+        deeper = g
+    return TruncatedSeries(deeper)
 
 
 def cfrac_latex(depth: int, spec: CoeffSpec) -> str:

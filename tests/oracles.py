@@ -5,9 +5,11 @@ words by breadth-first search, the moment functional applies a moment list
 to an explicitly expanded product, the tuple monomials below are the
 library's former monomial representation, kept to check the packed one,
 the pairwise heap routines are the library's former settling, summit
-and path reconstruction, kept to check the per-column ones, and the
+and path reconstruction, kept to check the per-column ones, the
 cofactor expansion is the library's former bordered-determinant route to
-Q_n, kept to check the Gauss-Jordan one.
+Q_n, kept to check the Gauss-Jordan one, and the full Stieltjes triangle
+is the library's former moment route, which filled and kept every row,
+kept to check the wedge and the lazily filled rows.
 Each exists so the corresponding library operation can be checked against
 something that cannot share its bugs.
 """
@@ -15,6 +17,7 @@ something that cannot share its bugs.
 from __future__ import annotations
 
 from collections import deque
+from fractions import Fraction
 from typing import Sequence
 
 from heaporth.basis import (
@@ -66,6 +69,34 @@ def dyck_spec() -> CoeffSpec:
     return CoeffSpec.custom(
         [MultiPoly.zero()] * 10, [MultiPoly.lam(i) for i in range(1, 10)]
     )
+
+
+def mixed_custom_spec() -> CoeffSpec:
+    """A custom spec of 24 nonzero c_i and lambda_i, both of both signs."""
+    c = [Fraction((-1) ** i * (i % 5 + 1), i % 3 + 1) for i in range(24)]
+    lam = [Fraction((-1) ** (i // 2) * (i % 4 + 1), i % 2 + 1) for i in range(24)]
+    return CoeffSpec.custom(c, lam)
+
+
+def full_stieltjes_triangle(
+    n_max: int, spec: CoeffSpec
+) -> tuple[tuple[MultiPoly, ...], ...]:
+    """Every row h[n][0..n] of the moment triangle, n <= n_max."""
+    rows: list[tuple[MultiPoly, ...]] = [(MultiPoly.one(),)]
+    for n in range(1, n_max + 1):
+        prev = rows[n - 1]
+        row: list[MultiPoly] = []
+        for k in range(n + 1):
+            acc = MultiPoly.zero()
+            if k >= 1 and k - 1 <= n - 1:
+                acc = acc + spec.lam(k) * prev[k - 1]
+            if k <= n - 1:
+                acc = acc + spec.c(k) * prev[k]
+            if k + 1 <= n - 1:
+                acc = acc + prev[k + 1]
+            row.append(acc)
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def catalan_number(m: int) -> int:

@@ -27,7 +27,13 @@ from heaporth.basis import (
 )
 from heaporth.poly import MultiPoly, UniPoly
 
-from oracles import apply_moment_functional, catalan_number, qn_via_cofactors
+from oracles import (
+    apply_moment_functional,
+    catalan_number,
+    full_stieltjes_triangle,
+    mixed_custom_spec,
+    qn_via_cofactors,
+)
 
 x = MultiPoly.x()
 c0, c1 = MultiPoly.c(0), MultiPoly.c(1)
@@ -97,6 +103,49 @@ class TestStieltjesMoments:
             else:
                 m = n // 2
                 assert mu.mu[n] == MultiPoly.const((-1) ** m * catalan_number(m))
+
+
+class TestWedgeAgreesWithFullTriangle:
+    """The wedge moments and the lazily filled rows against the full triangle."""
+
+    @pytest.mark.parametrize(
+        "spec, top",
+        [(SYM, 12), (CAT, 20), (FIB, 20), (mixed_custom_spec(), 20)],
+        ids=["symbolic", "catalan", "fibonacci", "custom"],
+    )
+    def test_every_moment_and_entry(self, spec, top):
+        rows = full_stieltjes_triangle(top, spec)
+        for n_max in range(top + 1):
+            mu = stieltjes_moments(n_max, spec)
+            assert mu.mu == tuple(rows[n][0] for n in range(n_max + 1))
+            for n in range(n_max + 1):
+                for k in range(n + 1):
+                    assert mu.h_entry(n, k) == rows[n][k]
+
+    def test_rows_fill_out_of_order(self):
+        rows = full_stieltjes_triangle(9, SYM)
+        mu = stieltjes_moments(9, SYM)
+        assert mu.h_entry(4, 2) == rows[4][2]
+        assert mu.h_entry(9, 5) == rows[9][5]
+        assert mu.h_entry(1, 1) == rows[1][1]
+
+    def test_equality_ignores_filled_rows(self):
+        filled, fresh = stieltjes_moments(8, SYM), stieltjes_moments(8, SYM)
+        filled.h_entry(8, 4)
+        assert filled == fresh
+        assert hash(filled) == hash(fresh)
+        assert filled != stieltjes_moments(8, CAT)
+
+    def test_wedge_reads_only_what_mu_needs(self):
+        # c_0..c_2 and lambda_1..lambda_2 determine mu_0..mu_5
+        short = CoeffSpec.custom([1, 2, 3], [-1, 2])
+        longer = CoeffSpec.custom([1, 2, 3, 7, -5], [-1, 2, Fraction(3, 7), 11])
+        assert stieltjes_moments(5, short).mu == stieltjes_moments(5, longer).mu
+        # and c_0..c_1 with lambda_1..lambda_2 mu_0..mu_4
+        even = CoeffSpec.custom([1, 2], [-1, 2])
+        assert stieltjes_moments(4, even).mu == stieltjes_moments(4, longer).mu
+        with pytest.raises(IndexError, match="no lambda_3"):
+            stieltjes_moments(6, short)
 
 
 class TestScalarProduct:

@@ -1,5 +1,6 @@
 """Command-line surface: outputs, formats, exit codes, determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -326,3 +327,119 @@ class TestCustomSpecErrors:
         with pytest.raises(SystemExit) as info:
             main(["moments", "--spec", "fibonacci", "--nmax", "2"])
         assert info.value.code == 2
+
+
+class TestShortCustomSpecs:
+    """c_0..c_m and lambda_1..lambda_m are enough for mu_0..mu_{2m+1}."""
+
+    SHORT = '{"c": [1, 2, 3], "lambda": [-1, 2]}'
+    LONGER = '{"c": [1, 2, 3, 7, "-5/2", 4], "lambda": [-1, 2, "3/7", 11, -6]}'
+
+    def _specs(self, tmp_path):
+        short, longer = tmp_path / "short.json", tmp_path / "longer.json"
+        short.write_text(self.SHORT)
+        longer.write_text(self.LONGER)
+        return f"custom:{short}", f"custom:{longer}"
+
+    @pytest.mark.parametrize("fmt", ["plain", "json", "latex"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["moments", "--nmax", "5"], ["cf", "--depth", "2"], ["cf", "--depth", "1", "--order", "5"]],
+        ids=" ".join,
+    )
+    def test_same_as_extended_spec(self, capsys, tmp_path, argv, fmt):
+        short, longer = self._specs(tmp_path)
+        code, out, err = run(capsys, *argv, "--spec", short, "--format", fmt)
+        assert (code, err) == (0, "")
+        assert (code, out, err) == run(capsys, *argv, "--spec", longer, "--format", fmt)
+
+    def test_moments_past_the_spec_still_fail(self, capsys, tmp_path):
+        short, _ = self._specs(tmp_path)
+        code, out, err = run(capsys, "moments", "--nmax", "6", "--spec", short)
+        assert (code, out) == (1, "")
+        assert err == "error: custom spec has no lambda_3\n"
+
+
+# A custom spec with a zero c and negative lambdas, long enough for every
+# command below at the parent's full triangle and deep convergents.
+_GOLDEN_CUSTOM = (
+    '{"c": ["1/2", -1, 2, "-3/4", 1, 0, 3, -2, "5/3", 1, -1, 2], '
+    '"lambda": [-1, "2/3", -2, 1, "-1/2", 3, -1, 2, -3, "1/4", 1, -2]}'
+)
+
+
+def golden_commands(group, spec, fmt):
+    """The argument lists whose outputs one golden digest covers."""
+    tail = ["--spec", spec, "--format", fmt]
+    if group == "moments":
+        return [["moments", "--nmax", "10", *tail]]
+    if group == "cf":
+        return [
+            ["cf", "--depth", str(d), *order, *tail]
+            for d in range(5)
+            for order in ([], ["--order", "12"])
+        ]
+    return [["hankel", "-n", "4", "--which", w, *tail] for w in ("d", "chi")]
+
+
+def golden_digest(run_one, commands):
+    """sha256 over exit status, stdout and stderr of each command in turn."""
+    h = hashlib.sha256()
+    for argv in commands:
+        code, out, err = run_one(argv)
+        h.update(f"{code}\0{out}\0{err}\0".encode())
+    return h.hexdigest()
+
+
+# Captured from the full-triangle, long-division implementation.
+GOLDEN_DIGESTS = {
+    "moments symbolic plain": "79d1b33340054204bfb0ea524e5002746cd2b713d08c0e7e2660aa9865393124",
+    "moments symbolic json": "b0416d63162b784d44a2229dd80e4227ca049ceea5ce036ba52a506773bb669a",
+    "moments symbolic latex": "a5d1667626168b39e037d4ad1d7b2cd6091d12dea54ac853b8c7d02232c9a180",
+    "moments fib plain": "11b546320586baf2713743866b8896f90ee9b950612a036a09b763c9eba1c7a8",
+    "moments fib json": "58acdbd6bb755fbb26049ff3a2489e5ec4d6ca9cb77a9664bf94bd69c58f8389",
+    "moments fib latex": "40f49503d51b2d916d5528dc87790f72575ff01b5233bc245bd6a9e260514109",
+    "moments catalan plain": "9259ab9a871eca3ab0681f21651550264617608876893f5a3bc77ea46c759fad",
+    "moments catalan json": "7b0af06cb57ccaf437d5541f511e2e99062f0e0b4327b0de67b1de816088fc92",
+    "moments catalan latex": "230ff26d2fe79d788b313bdcd08215e1fa7a24874347925b281739e23d46185f",
+    "moments custom plain": "78d705acb78569518b3ac34a4fb6a38ab6a20cb3f3de20ade0c708c3a839d748",
+    "moments custom json": "5393f953e3492a022e1f5bb36135de37025f9a07b90527d1db23418c33a4a7a1",
+    "moments custom latex": "82de7cf41681cdb2e2ee9e655e9cf15bd9ab808fab4187d6ef6b7d97f2962589",
+    "cf symbolic plain": "84deb23190237ceb9e96fc6604d96c4ccfc76622515b622781daa85971a52097",
+    "cf symbolic json": "a77d0c02a8d7330ebd03988aff3b151732020993a10423c53108105788cc3813",
+    "cf symbolic latex": "66c0bd77e623c315ae2b430e27af25a71eb7df4fb6e0ec5519fcc80bf99c84e1",
+    "cf fib plain": "f5f55c84f10f0adf2094b572d4e144bbfaf5a5946c7ec19b8ff7442639a50ed9",
+    "cf fib json": "8b8acaf9ce999ac262c20b861dbe43f20d0736cea2c20dbb44e7205452aa7fc0",
+    "cf fib latex": "5ed885a20b6b7b71744a93707fe4104f3d31ace6f19f53a09831969afa54c09a",
+    "cf catalan plain": "0e57bb83015b771e7e62a5094fded83ce8ffd6604a38ca0a6d78ac25088cd718",
+    "cf catalan json": "b8c6ee3bdff2335efc1b891df2f0b8764c0b6959797685adc31d7688bc5043c3",
+    "cf catalan latex": "1fc95a6e478a6ed6949daf7aace77401f72f9fa1e611176407f3b08f124c6663",
+    "cf custom plain": "d604805c3e198ca4721330f5cb142977cd937a4cf94f234cf6b699dcea4ebc74",
+    "cf custom json": "7b792a604643dd2264893aa81dbd736cba0b2b2f863d7afdfe6c035fc11dbcf2",
+    "cf custom latex": "2a650e350f7d6e4fbb78e85468ef338c30229cc82d39c1c8f5f69cd6fa6ec4c9",
+    "hankel symbolic plain": "d91ca8b34153884525c5a4d4039feffe490e7a0eb2efd8bdc2fed24ca01e0b7b",
+    "hankel symbolic json": "808e473e11dc8ae5df9d2ed4f234f1ea5f8f554d623143cbbf16a291c406df0d",
+    "hankel symbolic latex": "584fcf61cf3d01e4124df0faa8231166fef827c323402f6f2c0895520050125e",
+    "hankel fib plain": "5a4a848711146765eb863212a0e3d002ea4b164778ef07fe5c278940589f96f7",
+    "hankel fib json": "99d7ca675df814eddf1ec5e2c9c123ce19239fbb3e4a7d4f2094b4ca7469fad9",
+    "hankel fib latex": "cc56176e94cf6e360301353489fc2cce0f278288d43616425fa82fdfd33b8eef",
+    "hankel catalan plain": "b4094e90116dc3dac8a6501506adedc23228a41d775fd4e0ecf504ea7188f0b8",
+    "hankel catalan json": "f82e3a52e9dbcc1fe5f3252a92a223001048e479637939833d8beefc5cb5b28a",
+    "hankel catalan latex": "bceabe6f476387f6e680a1b8445593578d4676f13148e19013d0608ccf307c2f",
+    "hankel custom plain": "6e9f1c8d0edf27959e5c131b8a6bc95f29123c812a4c565afc4ffbed05f469fd",
+    "hankel custom json": "2ef2d0de113aca5e15d60001d113d80bfc0b9cf346bbdbbafe8f873dd47e435b",
+    "hankel custom latex": "a4050af735dd1415f0a629846cce47d063937d866261e665b591a4ca78915059",
+}
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN_DIGESTS))
+def test_output_matches_golden_digest(capsys, tmp_path, key):
+    group, spec, fmt = key.split()
+    if spec == "custom":
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(_GOLDEN_CUSTOM)
+        spec = f"custom:{spec_file}"
+    digest = golden_digest(
+        lambda argv: run(capsys, *argv), golden_commands(group, spec, fmt)
+    )
+    assert digest == GOLDEN_DIGESTS[key]

@@ -1,7 +1,13 @@
 """Convergents, their polynomial identities, and the moment series."""
 
-import pytest
+from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import heaporth.basis
+import heaporth.series
 from heaporth.basis import CoeffSpec, generate_basis, stieltjes_moments
 from heaporth.contfrac import (
     cfrac_latex,
@@ -12,6 +18,8 @@ from heaporth.contfrac import (
 )
 from heaporth.poly import MultiPoly, UniPoly, reciprocal_poly, shift_vars
 from heaporth.series import RationalFn, TruncatedSeries
+
+from oracles import mixed_custom_spec
 
 SYM = CoeffSpec.symbolic()
 CAT = CoeffSpec.catalan()
@@ -150,6 +158,70 @@ class TestJSeries:
         L = j_series(6, SYM)
         SL = j_series(6, SYM.shifted())
         assert SL == L.map_coefficients(lambda c: shift_vars(c))
+
+
+def _by_long_division(order, spec):
+    """The series of a convergent deep enough for every coefficient to be stable."""
+    return convergent((order + 1) // 2, spec).value.series(order)
+
+
+_small_rationals = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-3, max_value=3, max_denominator=3),
+)
+
+
+class TestJSeriesAgreesWithConvergent:
+    """First-return expansion against the convergent's long division."""
+
+    def test_symbolic(self):
+        for order in range(15):
+            assert j_series(order, SYM) == _by_long_division(order, SYM)
+
+    @pytest.mark.parametrize(
+        "spec", [CAT, FIB, mixed_custom_spec()], ids=["catalan", "fibonacci", "custom"]
+    )
+    def test_constant_specs(self, spec):
+        for order in range(21):
+            assert j_series(order, spec) == _by_long_division(order, spec)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        order=st.integers(min_value=0, max_value=10),
+        c=st.lists(_small_rationals, min_size=6, max_size=6),
+        lam=st.lists(_small_rationals, min_size=5, max_size=5),
+    )
+    def test_small_rational_specs(self, order, c, lam):
+        spec = CoeffSpec.custom(c, lam)
+        assert j_series(order, spec) == _by_long_division(order, spec)
+
+    def test_reads_only_what_the_order_needs(self):
+        # c_0..c_2 and lambda_1..lambda_2 determine the series to x^5
+        short = CoeffSpec.custom([1, 2, 3], [-1, 2])
+        longer = CoeffSpec.custom([1, 2, 3, 7, -5], [-1, 2, Fraction(3, 7), 11])
+        assert j_series(5, short) == j_series(5, longer)
+        # and c_0..c_1 with lambda_1..lambda_2 to x^4
+        assert j_series(4, CoeffSpec.custom([1, 2], [-1, 2])) == j_series(4, longer)
+        with pytest.raises(IndexError, match="no lambda_3"):
+            j_series(6, short)
+
+
+def test_j_series_shares_no_code_with_triangle_or_division(monkeypatch):
+    expected = {spec: j_series(12, spec) for spec in (SYM, CAT, FIB)}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the J-fraction route called another route's code")
+
+    monkeypatch.setattr(heaporth.series, "series_div", refuse)
+    monkeypatch.setattr(heaporth.basis, "stieltjes_moments", refuse)
+    monkeypatch.setattr(heaporth.basis, "_triangle_row", refuse)
+    for spec, series in expected.items():
+        assert j_series(12, spec) == series
+    # the patches do bite the routes that use them
+    with pytest.raises(AssertionError):
+        convergent(3, SYM).value.series(5)
+    with pytest.raises(AssertionError):
+        stieltjes_moments(3, SYM)
 
 
 class TestLatex:
