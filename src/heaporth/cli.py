@@ -241,7 +241,7 @@ def _expansion_pieces(coeffs, symbol: str, latex: bool) -> str:
             if mag == 1:
                 body = name
             elif latex:
-                body = f"{mag.numerator if mag.denominator == 1 else mag} {name}"
+                body = f"{MultiPoly.const(mag).to_latex()} {name}"
             else:
                 body = f"{mag}*{name}"
         else:

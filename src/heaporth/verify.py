@@ -39,9 +39,9 @@ from .basis import (
     stieltjes_moments,
 )
 from .contfrac import convergent_difference, convergent_qstar_identity, j_series
-from .heaps import heap_to_motzkin, motzkin_to_heap, pyramid_summit, settle
+from .heaps import heap_to_motzkin, path_to_heap, pyramid_summit
 from .numeric import JACOBI_MAX_SIZE, catalan_integral, jacobi_eigen_positivity
-from .paths import enumerate_paths, path_word
+from .paths import enumerate_paths
 from .poly import MultiPoly, UniPoly
 
 Checks = Iterator[tuple[str, bool]]
@@ -150,19 +150,19 @@ def _t21(nmax: int | None) -> Checks:
     for length in range(1, top + 1):
         for path in enumerate_paths(0, 0, length):
             total += 1
-            heap = settle(motzkin_to_heap(path_word(path)))
+            heap = path_to_heap(path)
             summit = str(pyramid_summit(heap))
             top_level = path.max_level
-            dimers = sum(1 for pp in heap.placed if pp.piece.kind == "d")
+            dimers = sum(k & 1 for k in heap.key)  # a dimer's field is odd
             ok &= (
                 summit in ("m0", "d1")
                 and all(0 <= col <= top_level for col in heap.columns())
                 and (not path.is_dyck or (dimers == heap.size and summit == "d1"))
                 and dimers + heap.size == path.length  # 2*dimers + monomers steps
-                and heap.placed not in images
+                and heap.key not in images
                 and heap_to_motzkin(heap) == path
             )
-            images.add(heap.placed)
+            images.add(heap.key)
     yield f"{total} closed paths of length <= {top}: properties, injectivity and inversion", ok
 
 

@@ -5,7 +5,9 @@ words by breadth-first search, the moment functional applies a moment list
 to an explicitly expanded product, the tuple monomials below are the
 library's former monomial representation, kept to check the packed one,
 the pairwise heap routines are the library's former settling, summit
-and path reconstruction, kept to check the per-column ones, the
+and path reconstruction, kept to check the per-column ones,
+``settle_placed`` is the library's former per-column settling into sorted
+``PlacedPiece`` tuples, kept to check the flat integer heap keys, the
 cofactor expansion is the library's former bordered-determinant route to
 Q_n, kept to check the Gauss-Jordan one, and the full Stieltjes triangle
 is the library's former moment route, which filled and kept every row,
@@ -209,6 +211,18 @@ def settle_pairwise(word: Sequence[Piece]) -> Heap:
                 level = max(level, earlier.level + 1)
         placed.append(PlacedPiece(piece, level))
     return Heap.from_placed(placed)
+
+
+def settle_placed(word: Sequence[Piece]) -> tuple[PlacedPiece, ...]:
+    """Per-column settling into PlacedPieces, sorted by (level, leftmost column)."""
+    top: dict[int, int] = {}
+    placed: list[PlacedPiece] = []
+    for piece in word:
+        level = max(top.get(c, 0) for c in piece.support)
+        for c in piece.support:
+            top[c] = level + 1
+        placed.append(PlacedPiece(piece, level))
+    return tuple(sorted(placed, key=lambda pp: (pp.level, pp.piece.min_col)))
 
 
 def pyramid_summit_pairwise(heap: Heap) -> Piece | None:

@@ -118,6 +118,23 @@ class TestExpand:
         _, out, _ = run(capsys, "expand", "--target", "x^2", "--spec", "catalan")
         assert out == "x^2 = Q0 + Q2\n"
 
+    def test_latex_rational_coefficients(self, capsys, tmp_path):
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(_GOLDEN_CUSTOM)
+        code, out, _ = run(
+            capsys, "expand", "--target", "x^3", "--spec", f"custom:{spec_file}",
+            "--format", "latex",
+        )
+        assert code == 0
+        assert out == (
+            "\\[\nx^{3} = \\frac{1}{8} Q_{0} + \\frac{5}{12} Q_{1}"
+            " + \\frac{3}{2} Q_{2} + Q_{3}\n\\]\n"
+        )
+        _, out, _ = run(
+            capsys, "expand", "--target", "x^4 - 2/3*x", "--spec", "fib", "--format", "latex"
+        )
+        assert "- \\frac{2}{3} P_{1}" in out
+
 
 class TestCf:
     def test_plain(self, capsys):
@@ -181,6 +198,15 @@ class TestHeapCommands:
         code, _, err = run(capsys, "heap", "to-path", "--word", "m1")
         assert code == 1
         assert "error" in err
+
+    @pytest.mark.parametrize("cmd", ["settle", "canon", "to-path"])
+    def test_piece_past_the_layout(self, capsys, cmd):
+        code, out, err = run(capsys, "heap", cmd, "--word", "m99999999999 d5")
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: piece m99999999999 is past the heap layout: monomer indices"
+            " stop at 2147483647 and dimer indices at 2147483648\n"
+        )
 
 
 class TestPathCommands:
@@ -443,3 +469,51 @@ def test_output_matches_golden_digest(capsys, tmp_path, key):
         lambda argv: run(capsys, *argv), golden_commands(group, spec, fmt)
     )
     assert digest == GOLDEN_DIGESTS[key]
+
+
+# Heap and path words for the heap golden digests: path images, pyramids
+# with the wrong summit, non-pyramids, words that stack on themselves, words
+# at the layout cap, and bad tokens.
+_HEAP_GOLDEN_WORDS = (
+    "", "m0", "d1", "m1", "d2", "m0 m0", "m0 d1", "d1 m0", "m0 m2", "m0 d2",
+    "m0 d2 m2 d1 m1 d2 m3 m3", "m3 d2 m0 d1 m3 m1 m2 d2", "m0 d2 m3 d1 m2 m3 m1 d2",
+    "d1 d3 m0 d2 m1 d2 m1 d1", "d1 m0 d3 d2 m1 d2 m1 d1", "m1 d1", "d2 d1", "m0 d1 m0",
+    "m2 m1 m0", "m0 m1 m2", "d3 d2 d1", "d1 d2 d3", "m1 m1 d1 d1", "d1 d1 m0 m0",
+    "m0 m0 m0 m0", "d5 d4 d3 d2 d1", "m0 m2 d1", "m0 d3", "d1 d3", "m0 m1", "d1 d2",
+    "m2147483647", "d2147483648 m0", "m007 d01", "d1  m0\tm0",
+    "q3", "m", "d0", "m-1", "m0 x", "M0", "m1.5",
+)
+_HEAP_GOLDEN_PATHS = (
+    "", "@0", "E@0", "NE,SE@0", "E,E@0", "NE,E,SE@0", "NE,NE,SE,SE@0", "NE,SE,E@0",
+    "E,NE,E,SE,E@0", "NE,E,NE,SE,E,NE,NE,SE,SE,SE,E,NE,SE@0", "NE, E ,SE@0",
+    "NE@0", "SE@0", "E@1", "NE,SE@1", "foo", "NE,,SE@0", "NE,SE@x",
+)
+
+
+def heap_golden_commands(fmt):
+    """Every heap subcommand over the golden words and paths in one format."""
+    tail = ["--format", fmt]
+    words = _HEAP_GOLDEN_WORDS
+    cmds = []
+    for word, other in zip(words, words[1:] + words[:1]):
+        for sub in ("settle", "canon", "to-path"):
+            cmds.append(["heap", sub, "--word", word, *tail])
+        cmds.append(["heap", "eq", "--word", word, "--other", other, *tail])
+        cmds.append(["heap", "eq", "--word", word, "--other", " ".join(reversed(word.split())), *tail])
+    for path in _HEAP_GOLDEN_PATHS:
+        cmds.append(["heap", "from-path", "--path", path, *tail])
+    return cmds
+
+
+# Captured from the PlacedPiece-tuple heaps.
+HEAP_GOLDEN_DIGESTS = {
+    "plain": "0427a37f56ec41ffba52d3fdd16d804ec53513f51a0397226d78afe9f8bf48cb",
+    "json": "f574465e1dc7ebd0161f62364c9abfdcaedb5b4054a7d001bf8a1274b7ef73a0",
+    "latex": "0427a37f56ec41ffba52d3fdd16d804ec53513f51a0397226d78afe9f8bf48cb",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(HEAP_GOLDEN_DIGESTS))
+def test_heap_output_matches_golden_digest(capsys, fmt):
+    digest = golden_digest(lambda argv: run(capsys, *argv), heap_golden_commands(fmt))
+    assert digest == HEAP_GOLDEN_DIGESTS[fmt]

@@ -8,6 +8,7 @@ from heaporth.heaps import (
     Heap,
     NotInImageError,
     Piece,
+    PieceOverflowError,
     canonical_word,
     heap_to_motzkin,
     heap_word_text,
@@ -24,6 +25,7 @@ from oracles import (
     heap_to_motzkin_backtrack,
     pyramid_summit_pairwise,
     settle_pairwise,
+    settle_placed,
     swap_closure,
 )
 
@@ -265,3 +267,92 @@ class TestJson:
     def test_roundtrip(self):
         heap = settle(parse_heap_word(W1))
         assert Heap.from_json_dict(heap.to_json_dict()) == heap
+
+
+def _assert_renders_like(heap, placed):
+    """Every reading of the flat heap equals that of the PlacedPiece tuple."""
+    assert heap.placed == placed
+    assert str(heap) == " ".join(str(pp) for pp in placed)
+    assert heap.to_json_dict() == {
+        "pieces": [
+            {"kind": pp.piece.kind, "i": pp.piece.index, "level": pp.level} for pp in placed
+        ]
+    }
+    assert canonical_word(heap) == tuple(pp.piece for pp in placed)
+
+
+_PIECES_TO_5 = [Piece("m", i) for i in range(6)] + [Piece("d", i) for i in range(1, 6)]
+_WORDS_TO_12 = st.lists(st.sampled_from(_PIECES_TO_5), max_size=12)
+
+
+@st.composite
+def _word_pairs(draw):
+    """A word and a second one: drawn apart, permuted, or moved by commuting swaps."""
+    w1 = draw(_WORDS_TO_12)
+    how = draw(st.sampled_from(("apart", "permuted", "commuted")))
+    if how == "apart":
+        return w1, draw(_WORDS_TO_12)
+    if how == "permuted":
+        return w1, draw(st.permutations(w1))
+    w2 = list(w1)
+    for i in draw(st.lists(st.integers(0, max(len(w1) - 2, 0)), max_size=24)):
+        if i + 1 < len(w2) and not w2[i].overlaps(w2[i + 1]):
+            w2[i], w2[i + 1] = w2[i + 1], w2[i]
+    return w1, w2
+
+
+@settings(max_examples=500, deadline=None)
+@given(_word_pairs())
+def test_flat_heaps_match_placed_oracle(pair):
+    w1, w2 = pair
+    h1, h2 = settle(w1), settle(w2)
+    p1, p2 = settle_placed(w1), settle_placed(w2)
+    _assert_renders_like(h1, p1)
+    _assert_renders_like(h2, p2)
+    assert (h1 == h2) == (p1 == p2)
+    if h1 == h2:
+        assert hash(h1) == hash(h2)
+
+
+def test_path_to_heap_matches_the_word_route():
+    total = 0
+    for n in range(1, 13):
+        for path in enumerate_paths(0, 0, n):
+            heap = path_to_heap(path)
+            assert heap == settle(motzkin_to_heap(path_word(path)))
+            assert Heap.from_json_dict(heap.to_json_dict()) == heap
+            total += 1
+    assert total == 24870
+
+
+class TestFlatLayout:
+    def test_worked_example_renders_like_oracle(self):
+        for text in (W1, W2, IMAGE_WORD_13, "m0 m0", ""):
+            word = parse_heap_word(text)
+            _assert_renders_like(settle(word), settle_placed(word))
+
+    def test_open_paths_rejected(self):
+        for text in ("NE@0", "E@1", "NE,SE@1", "SE@1"):
+            with pytest.raises(ValueError, match="must start and end at level 0"):
+                path_to_heap(MotzkinPath.parse(text))
+
+    def test_negative_levels_round_trip(self):
+        data = {"pieces": [{"kind": "d", "i": 1, "level": -3}, {"kind": "m", "i": 4, "level": -7}]}
+        heap = Heap.from_json_dict(data)
+        assert str(heap) == "m4@-7 d1@-3"
+        assert Heap.from_json_dict(heap.to_json_dict()) == heap
+
+    def test_settle_at_the_cap(self):
+        heap = settle(parse_heap_word("m2147483647 d2147483648"))
+        assert str(heap) == "m2147483647@0 d2147483648@1"
+
+    @pytest.mark.parametrize("text", ["m2147483648", "m0 d2147483649", "m99999999999 d5"])
+    def test_settle_past_the_cap(self, text):
+        with pytest.raises(PieceOverflowError, match="past the heap layout"):
+            settle(parse_heap_word(text))
+
+    @pytest.mark.parametrize("kind, i", [("m", 2**31), ("d", 2**31 + 1)])
+    def test_json_past_the_cap(self, kind, i):
+        data = {"pieces": [{"kind": "m", "i": 0, "level": 0}, {"kind": kind, "i": i, "level": 1}]}
+        with pytest.raises(PieceOverflowError):
+            Heap.from_json_dict(data)

@@ -1,5 +1,6 @@
 """The verify catalog: its exact output and the runner that produces it."""
 
+import hashlib
 from dataclasses import replace
 from fractions import Fraction
 
@@ -156,6 +157,19 @@ verified 12 identities
 )
 def test_verify_all_golden(capsys, argv, expected):
     assert run(capsys, *argv) == (0, expected, "")
+
+
+# sha256 over exit status, stdout and stderr of `verify T2.1 --nmax n` for
+# n = 0..10 in turn, captured from the PlacedPiece-tuple heaps.
+T21_GOLDEN_DIGEST = "dfa699872142464e0f4bc53bd8b5e7af8730e8d42e2fd90b33c3da36c991100e"
+
+
+def test_t21_depths_golden(capsys):
+    h = hashlib.sha256()
+    for n in range(11):
+        code, out, err = run(capsys, "verify", "T2.1", "--nmax", str(n))
+        h.update(f"{code}\0{out}\0{err}\0".encode())
+    assert h.hexdigest() == T21_GOLDEN_DIGEST
 
 
 class TestRunner:
