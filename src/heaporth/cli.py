@@ -320,6 +320,8 @@ def _cmd_heap(args) -> str:
         return "true" if equal else "false"
     if args.heap_cmd == "from-path":
         path = MotzkinPath.parse(args.path)
+        if not path.is_closed:  # a step-less path's word forgets its level
+            raise ValueError("path word must start and end at level 0")
         word = motzkin_to_heap(path_word(path))
         if args.format == "json":
             return json.dumps({"word": heap_word_text(word)})

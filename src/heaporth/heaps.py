@@ -326,8 +326,11 @@ def heap_to_motzkin(heap: Heap) -> MotzkinPath:
     at height 0.  A heap that is not settled can still yield a walk, so the
     last check is that settling the consumed pieces gives back the heap.
     """
-    key = heap.key
-    summit = _summit_field(key)
+    return _unstack(heap.key, _summit_field(heap.key))
+
+
+def _unstack(key: tuple[int, ...], summit: int | None) -> MotzkinPath:
+    """heap_to_motzkin on a heap key whose summit field is already known."""
     if summit is None:
         raise NotInImageError("heap is not a pyramid")
     if summit > 1:  # neither m0 (field 0) nor d1 (field 1)
@@ -383,6 +386,6 @@ def path_to_heap(path: MotzkinPath) -> Heap:
             fields.append(2 * g - 1)
             g -= 1
     # Read from an assumed end at 0, the walk ends at start - end.
-    if path.steps and (g or path.start_level):
+    if g or path.start_level:
         raise ValueError("path word must start and end at level 0")
     return Heap(_settle_fields(fields))

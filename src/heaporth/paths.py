@@ -9,11 +9,24 @@ paths of a given length and endpoint pair reproduces the moment triangle.
 
 Enumeration is deliberately explicit and exponential: these paths serve as
 the independent cross-check for the fast triangle recursion, so they must
-not share code with it.  Lengths are capped to keep that honest use cheap.
+not share code with it.  Lengths are capped at ``ENUMERATION_CAP`` steps to
+keep that honest use cheap.
+
+The weight is commutative, so a path's weight depends only on how many of
+each letter it has.  ``h_tilde`` therefore walks the step tree carrying its
+letter multiset as one flat int, the letter key: a ``LETTER_BITS``-bit
+field per letter, a_h in field 2h and c_h in field 2h + 1, with descents
+left out since they weigh 1.  A path uses no letter more often than it has
+steps, so the cap bounds every field and no count carries into the next.
+Taking a step adds one int; each finished path bumps its key's count, and
+only then does each distinct key become a weight, once, through polynomial
+products.  The walk still visits every path, one at a time, and shares
+nothing with the triangle or the continued fraction.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 
@@ -21,6 +34,7 @@ from .basis import CoeffSpec
 from .poly import MultiPoly
 
 ENUMERATION_CAP = 18
+LETTER_BITS = 5  # a letter key field holds up to 31 >= ENUMERATION_CAP uses
 
 
 class EnumerationCapError(ValueError):
@@ -247,12 +261,20 @@ def path_weight(word: PathWord, spec: CoeffSpec) -> MultiPoly:
 def h_tilde(n: int, k: int, spec: CoeffSpec) -> MultiPoly:
     """Weight sum over all n-step paths from level 0 to level k.
 
-    Walks the same step tree as enumerate_paths but keeps the running
-    prefix weight instead of materializing each path, and abandons any
-    branch whose weight has already collapsed to zero (such branches
-    contribute nothing to the sum).  The object-level pipeline
-    path_weight(path_word(...)) computes identical summands; the tests
-    hold the two routes against each other.
+    Walks the same step tree as enumerate_paths, one path at a time, but
+    carries the path's letter key (see the module docstring) instead of
+    materializing the path: an ascent from height h adds the unit of field
+    2h, a level step the unit of field 2h + 1, a descent nothing.  Each
+    finished path adds one to the count of its key.  Afterwards each
+    distinct key becomes count * prod lambda_{h+1}**e * c_h**e once, from
+    powers cached per letter.
+
+    The walk never takes a step whose letter weighs zero.  Over Q a product
+    of nonzero polynomials is nonzero, so that drops exactly the paths of
+    zero weight.  It also never takes a step from which level k is out of
+    reach, and asks the spec for a letter's weight only when it is about to
+    take such a step for the first time, so a spec needs no entries past
+    what the paths from 0 to k can reach.
     """
     if n < 0 or k < 0:
         raise ValueError("indices must be >= 0")
@@ -260,20 +282,65 @@ def h_tilde(n: int, k: int, spec: CoeffSpec) -> MultiPoly:
         raise EnumerationCapError(
             f"explicit enumeration capped at {ENUMERATION_CAP} steps"
         )
+    if k > n:
+        return MultiPoly.zero()
+    weights: dict[int, MultiPoly] = {}  # letter field -> weight, as asked for
+    # The key unit of the ascent and of the level step from each height:
+    # None until asked for, 0 when the letter weighs zero.
+    ups: list[int | None] = [None] * n
+    flats: list[int | None] = [None] * n
+
+    def unit(field: int) -> int:
+        h = field >> 1
+        weight = weights[field] = spec.c(h) if field & 1 else spec.lam(h + 1)
+        return 0 if weight.is_zero else 1 << (LETTER_BITS * field)
+
+    counts: defaultdict[int, int] = defaultdict(int)
+
+    def rec(level: int, remaining: int, key: int) -> None:
+        # Invariant: level k is reachable, |level - k| <= remaining.
+        d = level - k
+        if d == remaining:  # only descents are left: one path, no letters
+            counts[key] += 1
+            return
+        r = remaining - 1
+        if d < r:
+            step = ups[level]
+            if step is None:
+                step = ups[level] = unit(2 * level)
+            if step:
+                rec(level + 1, r, key + step)
+        if -d <= r:
+            step = flats[level]
+            if step is None:
+                step = flats[level] = unit(2 * level + 1)
+            if step:
+                rec(level, r, key + step)
+        if level and -d < r:
+            rec(level - 1, r, key)
+
+    rec(0, n, 0)
+
+    mask = (1 << LETTER_BITS) - 1
+    powers: dict[int, list[MultiPoly]] = {}  # letter field -> [w**0, w**1, ...]
     parts: list[MultiPoly] = []
-
-    def rec(level: int, remaining: int, weight: MultiPoly) -> None:
-        if abs(level - k) > remaining or weight.is_zero:
-            return
-        if remaining == 0:
-            parts.append(weight)
-            return
-        rec(level + 1, remaining - 1, weight * spec.lam(level + 1))
-        rec(level, remaining - 1, weight * spec.c(level))
-        if level > 0:
-            rec(level - 1, remaining - 1, weight)
-
-    rec(0, n, MultiPoly.one())
+    for key, count in counts.items():
+        weight = None
+        field = 0
+        while key:
+            e = key & mask
+            if e:
+                pw = powers.get(field)
+                if pw is None:
+                    pw = powers[field] = [MultiPoly.one(), weights[field]]
+                while len(pw) <= e:
+                    pw.append(pw[-1] * pw[1])
+                weight = pw[e] if weight is None else weight * pw[e]
+            key >>= LETTER_BITS
+            field += 1
+        if weight is None:  # the path has no ascent or level step
+            weight = MultiPoly.one()
+        parts.append(weight if count == 1 else weight * count)
     return MultiPoly.sum(parts)
 
 

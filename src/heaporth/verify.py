@@ -39,9 +39,9 @@ from .basis import (
     stieltjes_moments,
 )
 from .contfrac import convergent_difference, convergent_qstar_identity, j_series
-from .heaps import heap_to_motzkin, path_to_heap, pyramid_summit
+from .heaps import _FIELD_MASK, _summit_field, _unstack, path_to_heap
 from .numeric import JACOBI_MAX_SIZE, catalan_integral, jacobi_eigen_positivity
-from .paths import enumerate_paths
+from .paths import Step, enumerate_paths
 from .poly import MultiPoly, UniPoly
 
 Checks = Iterator[tuple[str, bool]]
@@ -151,18 +151,31 @@ def _t21(nmax: int | None) -> Checks:
         for path in enumerate_paths(0, 0, length):
             total += 1
             heap = path_to_heap(path)
-            summit = str(pyramid_summit(heap))
-            top_level = path.max_level
-            dimers = sum(k & 1 for k in heap.key)  # a dimer's field is odd
+            key = heap.key
+            summit = _summit_field(key)  # m0 and d1 are the fields 0 and 1
+            level = peak = 0
+            dyck = True
+            for step in path.steps:
+                if step is Step.NE:
+                    level += 1
+                    if level > peak:
+                        peak = level
+                elif step is Step.SE:
+                    level -= 1
+                else:
+                    dyck = False
+            dimers = sum(k & 1 for k in key)  # a dimer's field is odd
+            # A piece's highest column is its target (f + 1) >> 1; a field
+            # decoded from a key is never negative, and neither is a column.
             ok &= (
-                summit in ("m0", "d1")
-                and all(0 <= col <= top_level for col in heap.columns())
-                and (not path.is_dyck or (dimers == heap.size and summit == "d1"))
-                and dimers + heap.size == path.length  # 2*dimers + monomers steps
-                and heap.key not in images
-                and heap_to_motzkin(heap) == path
+                summit in (0, 1)
+                and (max(k & _FIELD_MASK for k in key) + 1) >> 1 <= peak
+                and (not dyck or (dimers == len(key) and summit == 1))
+                and dimers + len(key) == len(path.steps)  # 2*dimers + monomers steps
+                and key not in images
+                and _unstack(key, summit) == path
             )
-            images.add(heap.key)
+            images.add(key)
     yield f"{total} closed paths of length <= {top}: properties, injectivity and inversion", ok
 
 

@@ -11,7 +11,9 @@ and path reconstruction, kept to check the per-column ones,
 cofactor expansion is the library's former bordered-determinant route to
 Q_n, kept to check the Gauss-Jordan one, and the full Stieltjes triangle
 is the library's former moment route, which filled and kept every row,
-kept to check the wedge and the lazily filled rows.
+kept to check the wedge and the lazily filled rows.  ``h_tilde_products``
+is the library's former path sum, which multiplied a running prefix weight
+at every step, kept to check the counted letter keys.
 Each exists so the corresponding library operation can be checked against
 something that cannot share its bugs.
 """
@@ -99,6 +101,31 @@ def full_stieltjes_triangle(
             row.append(acc)
         rows.append(tuple(row))
     return tuple(rows)
+
+
+def h_tilde_products(n: int, k: int, spec: CoeffSpec) -> MultiPoly:
+    """Weight sum over the n-step paths from 0 to k, one product per step.
+
+    Walks the step tree with the running prefix weight and abandons a branch
+    once its weight is zero.  It asks for a step's letter weight before
+    checking that level k is still reachable, so on a short custom spec it
+    can raise where the path sum itself needs no further entries.
+    """
+    parts: list[MultiPoly] = []
+
+    def rec(level: int, remaining: int, weight: MultiPoly) -> None:
+        if abs(level - k) > remaining or weight.is_zero:
+            return
+        if remaining == 0:
+            parts.append(weight)
+            return
+        rec(level + 1, remaining - 1, weight * spec.lam(level + 1))
+        rec(level, remaining - 1, weight * spec.c(level))
+        if level > 0:
+            rec(level - 1, remaining - 1, weight)
+
+    rec(0, n, MultiPoly.one())
+    return MultiPoly.sum(parts)
 
 
 def catalan_number(m: int) -> int:

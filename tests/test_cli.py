@@ -190,6 +190,17 @@ class TestHeapCommands:
         _, out, _ = run(capsys, "heap", "from-path", "--path", "NE,SE@0")
         assert out == "d1\n"
 
+    @pytest.mark.parametrize("fmt", ["plain", "json", "latex"])
+    @pytest.mark.parametrize("path", ["@1", "@3", "NE,SE@1"])
+    def test_from_path_rejects_open_paths(self, capsys, fmt, path):
+        code, out, err = run(capsys, "heap", "from-path", "--path", path, "--format", fmt)
+        assert (code, out) == (1, "")
+        assert err == "error: path word must start and end at level 0\n"
+
+    @pytest.mark.parametrize("fmt, expected", [("plain", "\n"), ("json", '{"word": ""}\n'), ("latex", "\n")])
+    def test_from_path_empty_closed_path(self, capsys, fmt, expected):
+        assert run(capsys, "heap", "from-path", "--path", "@0", "--format", fmt) == (0, expected, "")
+
     def test_to_path(self, capsys):
         _, out, _ = run(capsys, "heap", "to-path", "--word", "d1")
         assert out == "NE,SE@0\n"

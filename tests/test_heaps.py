@@ -336,6 +336,12 @@ class TestFlatLayout:
             with pytest.raises(ValueError, match="must start and end at level 0"):
                 path_to_heap(MotzkinPath.parse(text))
 
+    def test_step_less_open_paths_rejected(self):
+        for text in ("@1", "@2"):
+            with pytest.raises(ValueError, match="must start and end at level 0"):
+                path_to_heap(MotzkinPath.parse(text))
+        assert path_to_heap(MotzkinPath.parse("@0")) == Heap(())
+
     def test_negative_levels_round_trip(self):
         data = {"pieces": [{"kind": "d", "i": 1, "level": -3}, {"kind": "m", "i": 4, "level": -7}]}
         heap = Heap.from_json_dict(data)

@@ -1,6 +1,11 @@
 """Path enumeration, words, weights, and the path/triangle agreement."""
 
+from fractions import Fraction
+from math import prod
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heaporth.basis import CoeffSpec, stieltjes_moments
 from heaporth.paths import (
@@ -18,7 +23,7 @@ from heaporth.paths import (
 )
 from heaporth.poly import MultiPoly
 
-from oracles import catalan_number, dyck_spec
+from oracles import catalan_number, dyck_spec, h_tilde_products
 
 SYM = CoeffSpec.symbolic()
 CAT = CoeffSpec.catalan()
@@ -171,3 +176,80 @@ class TestMomentsByPaths:
     def test_odd_moments_vanish_without_flat_steps(self):
         for n in (1, 3, 5, 7):
             assert moments_by_paths(n, dyck_spec()).is_zero
+
+
+# Custom specs long enough for the product walk, which reads one letter
+# ahead: c_0..c_9 and lambda_1..lambda_10 cover every n <= 10.
+SPEC_LEN = 10
+
+_small_rationals = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-3, max_value=3, max_denominator=3),
+)
+
+_VARS = (MultiPoly.c(0), MultiPoly.c(1), l1, l2)
+
+# Sums of up to three terms q * (product of up to two variables); some
+# cancel to zero, which exercises the prune as well.
+_multi_term = st.lists(
+    st.tuples(_small_rationals, st.lists(st.sampled_from(_VARS), max_size=2)),
+    min_size=1,
+    max_size=3,
+).map(lambda terms: MultiPoly.sum(q * prod(vs, start=MultiPoly.one()) for q, vs in terms))
+
+
+def _custom_specs(entries):
+    return st.builds(
+        CoeffSpec.custom,
+        st.lists(entries, min_size=SPEC_LEN, max_size=SPEC_LEN),
+        st.lists(entries, min_size=SPEC_LEN, max_size=SPEC_LEN),
+    )
+
+
+class TestAgainstProductWalk:
+    """The counted letter keys against the former walk of prefix products."""
+
+    @staticmethod
+    def _agree(n, spec):
+        for k in range(n + 1):
+            assert h_tilde(n, k, spec) == h_tilde_products(n, k, spec), (n, k)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 10), _custom_specs(_small_rationals))
+    def test_small_rationals_with_zeros(self, n, spec):
+        self._agree(n, spec)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 10), _custom_specs(_multi_term))
+    def test_multi_term_entries(self, n, spec):
+        self._agree(n, spec)
+
+    @pytest.mark.parametrize("n", range(11))
+    def test_shifted_symbolic(self, n):
+        self._agree(n, SYM.shifted())
+
+    def test_one_visit_per_path(self):
+        # with every weight 1 a path sum counts paths: the Motzkin numbers
+        ones = CoeffSpec.custom([1] * 14, [1] * 14)
+        for n in range(15):
+            assert moments_by_paths(n, ones) == MultiPoly.const(
+                len(enumerate_paths(0, 0, n))
+            )
+        for n in range(9):
+            for k in range(n + 1):
+                assert h_tilde(n, k, ones) == MultiPoly.const(len(enumerate_paths(0, k, n)))
+
+    def test_reads_no_letter_past_reach(self):
+        # The paths from 0 back to 0 in n steps climb to n // 2 at most, so
+        # they use c_0..c_{(n-1)//2} and lambda_1..lambda_{n//2}.  The
+        # product walk asked for one letter more and raised.
+        c = [Fraction(i + 2, 3) for i in range(SPEC_LEN)]
+        lam = [Fraction(-1) ** i * (i + 1) for i in range(SPEC_LEN)]
+        padded = CoeffSpec.custom(c + [0] * 20, lam + [0] * 20)
+        for n in range(1, 11):
+            short = CoeffSpec.custom(c[: (n + 1) // 2], lam[: n // 2])
+            with pytest.raises(IndexError, match="custom spec has no"):
+                h_tilde_products(n, 0, short)
+            expected = stieltjes_moments(n, padded).h_entry(n, 0)
+            assert h_tilde(n, 0, short) == expected
+            assert moments_by_paths(n, short) == expected
